@@ -347,12 +347,6 @@ def oct_close(o: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
     return OctDbm(m, closed=True)
 
 
-def oct_intersect(a: OctDbm, b: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
-    if a.dim != b.dim:
-        raise DimensionMismatch("octagon dimensions differ")
-    return oct_close(OctDbm(np.minimum(a.entries, b.entries)), eps=eps)
-
-
 def embed_oct(o: OctDbm, old_vars: Sequence[int], new_dim: int) -> OctDbm:
     """Embed an octagon into a larger doubled space (0-based variable map)."""
     if len(old_vars) != o.dim:

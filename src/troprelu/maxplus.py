@@ -13,8 +13,6 @@ semiring directly: ``-inf + x == -inf`` and ``max(-inf, x) == x``.
 
 from __future__ import annotations
 
-import math
-
 BOTTOM = float("-inf")
 UNIT = 0.0
 
@@ -23,30 +21,3 @@ UNIT = 0.0
 #: membership or equality decision is made.
 DEFAULT_EPS = 1e-9
 
-
-def trop_add(a: float, b: float) -> float:
-    """Tropical addition: max."""
-    return max(a, b)
-
-
-def trop_mul(a: float, b: float) -> float:
-    """Tropical multiplication: ordinary +, with -inf absorbing."""
-    if a == BOTTOM or b == BOTTOM:
-        return BOTTOM
-    return a + b
-
-
-def is_bottom(a: float) -> bool:
-    return a == BOTTOM
-
-
-def approx_eq(a: float, b: float, eps: float = DEFAULT_EPS) -> bool:
-    """Equality within eps; bottom only equals bottom."""
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= eps
-
-
-def approx_le(a: float, b: float, eps: float = DEFAULT_EPS) -> bool:
-    """a <= b within eps."""
-    return a <= b + eps

@@ -1,29 +1,40 @@
 """Whole-network propagation through tropical polyhedra and zones.
 
 A network is a chain of affine layers with ReLU after each one (the last
-activation is optional).  ReLU is tropically affine, so its action on a
-generator list is exact; affine layers are abstracted per layer by the
-tight zone (or octagon) over the current enclosing hypercube.
+activation is optional).  Each affine layer is abstracted by its tight zone
+(or octagon) over the box of its inputs; ReLU is tropically affine, so its
+action on a generator list is exact.
 
-The chaining loop per layer: compute the enclosing hypercube of the
-current layer values; abstract the new layer over it; embed everything
-into the joint space; intersect with the carried constraints; apply ReLU;
-project back onto the tracked layer set.  Three modes differ in what is
-carried:
+One loop serves every mode and domain.  It carries a closed zone over the
+tracked variables: the inputs, the current layer, and with ``track_all``
+every hidden layer.  Per layer it
 
-* box:      generators only.  No intersection between layers; relations
-            from earlier layers survive only through their interval
-            bounds (this is the internal-only behaviour).
-* zone:     generators plus a closed DBM over the tracked variables,
-            intersected every layer with the new layer's zone and the
-            ReLU transfer rows.  Default; strictly at least as tight.
-* external: box behaviour plus a concatenated inequality system over all
-            layer variables, kept for membership diagnostics (inequality
-            systems cannot be projected, so it only ever grows).
+1. embeds the carried zone next to the layer's pre-activations h;
+2. mins in the layer's tight zone over (current layer, h) and closes;
+3. takes the closed zone's n + 1 generators (a closed zone is exactly their
+   tropical hull) and appends the clamped copies max(0, h), which is the
+   exact ReLU image of the zone;
+4. takes the tightest zone of those generators and keeps the tracked slots.
 
-In the octagon domain the carried DBM lives in the doubled space
-(+v, -v), which lets sum constraints tighten later layers through
-closure.
+The modes differ only in what the loop carries between layers:
+
+* zone:     the zone itself.  Default.
+* box:      the zone reset to its bounding box before each layer, so
+            relations from earlier layers survive only through their
+            interval bounds (the internal-only behaviour).
+* external: box behaviour; afterwards an inequality system over every
+            input, pre- and post-activation variable is built from the
+            per-layer boxes and kept for membership diagnostics
+            (inequality systems cannot be projected, so it keeps every
+            stage).
+
+In the octagon domain (zone mode) the carried relation lives in the
+doubled space (+v, -v), which lets sum constraints tighten later layers
+through closure; after ReLU its difference part is tightened with the
+zone of the clamped generators of the pre-activation plus block.
+
+``AnalysisResult.internal`` holds the clamped generators of the last layer,
+projected onto the tracked slots.
 """
 
 from __future__ import annotations
@@ -57,12 +68,12 @@ from .errors import (
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .layers import (
     AffineLayer,
+    ZoneAbsConstants,
     oct_constants,
     oct_dbm,
     zone_constants,
     zone_dbm,
     zone_external,
-    zone_internal,
 )
 from .subdivision import (
     SubdivisionConfig,
@@ -73,7 +84,6 @@ from .subdivision import (
 from .tropical import (
     TropExternal,
     TropInternal,
-    emb_box_internal,
     emb_external,
     extreme_filter,
     intersect_external,
@@ -196,8 +206,8 @@ def relu_external(
     """Rows tying each post-activation y to its pre-activation h.
 
     Two exact rows per pair, max(0, h) <= y and y <= max(0, h), plus the
-    derived zone rows used by the zone chain: y >= 0, y >= h,
-    y - h <= -min(0, h_lo) and y <= max(0, h_hi).
+    derived zone rows y >= 0, y >= h, y - h <= -min(0, h_lo) and
+    y <= max(0, h_hi).
     """
     h_dims = list(h_dims)
     y_dims = list(y_dims)
@@ -237,15 +247,6 @@ def relu_external(
         rows_l += [l1, l2, l3, l4, l5, l6]
         rows_r += [r1, r2, r3, r4, r5, r6]
     return TropExternal(np.vstack(rows_l), np.vstack(rows_r))
-
-
-def _relu_zone_rows(entries: np.ndarray, h_slot: int, y_slot: int, h_lo: float, h_hi: float):
-    """Min the ReLU transfer rows for one (h, y) pair into a plain DBM."""
-    e = entries
-    e[h_slot, y_slot] = min(e[h_slot, y_slot], 0.0)  # y >= h
-    e[y_slot, h_slot] = min(e[y_slot, h_slot], -min(0.0, h_lo))
-    e[y_slot, 0] = min(e[y_slot, 0], max(0.0, h_hi))
-    e[0, y_slot] = min(e[0, y_slot], -max(0.0, h_lo))
 
 
 def _oct_relu_append(o: OctDbm, h_vars: list, eps: float):
@@ -308,7 +309,6 @@ class AnalysisOptions:
     subdiv: Optional[SubdivisionGrid] = None
     subdiv_cfg: SubdivisionConfig = SubdivisionConfig()
     eps: float = DEFAULT_EPS
-    emb_pad: float = 1e-6  # relative padding of embedding intervals
     keep_layer_records: bool = True
 
 
@@ -332,10 +332,6 @@ class AnalysisResult:
     def output_slots(self) -> list:
         last = max(s for s, _ in self.var_map)
         return [i for i, (s, _) in enumerate(self.var_map) if s == last]
-
-
-def _box_hull(box: Box) -> TropInternal:
-    return zone_to_internal(box.to_dbm())
 
 
 def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOptions()) -> AnalysisResult:
@@ -363,7 +359,6 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
         subdiv=None,
         subdiv_cfg=options.subdiv_cfg,
         eps=options.eps,
-        emb_pad=options.emb_pad,
         keep_layer_records=False,
     )
     t0 = time.perf_counter()
@@ -416,114 +411,59 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> Anal
     eps = options.eps
     t0 = time.perf_counter()
     var_map = [(0, j) for j in range(net.n_inputs)]
-    hull = _box_hull(in_box)
-    zone: Optional[Dbm] = in_box.to_dbm() if options.mode is ChainMode.ZONE else None
-    oct_zone: Optional[OctDbm] = None
+    zone = in_box.to_dbm()
+    oct_zone = None
     if options.mode is ChainMode.ZONE and options.domain is AbsDomain.OCTAGON:
         oct_zone = _oct_from_box(in_box)
-    ext: Optional[TropExternal] = None
-    ext_map = [("x", 0, j) for j in range(net.n_inputs)]
-    ext_feed = list(range(net.n_inputs))
-    if options.mode is ChainMode.EXTERNAL:
-        ext = TropExternal.empty(net.n_inputs)
     stage_boxes = [in_box]
+    layers = []
     records = []
 
     for li in range(net.n_layers):
-        w, b = net.weights[li], net.biases[li]
         act = net.has_relu(li)
-        n_new = w.shape[0]
-        cur_slots = [i for i, (s, _) in enumerate(var_map) if s == li]
-        cur_box = _current_box(hull, zone, oct_zone, cur_slots, eps)
-        layer = AffineLayer(w, b, cur_box)
+        n_old = len(var_map)
+        cur = [i for i, (s, _) in enumerate(var_map) if s == li]
+        if oct_zone is not None:
+            full = oct_zone.box()
+            cur_box = Box(full.lo[cur], full.hi[cur])
+        else:
+            if options.mode is not ChainMode.ZONE:
+                zone = dbm_box(zone).to_dbm()
+            cur_box = dbm_box(zone.slice([i + 1 for i in cur]))
+        layer = AffineLayer(net.weights[li], net.biases[li], cur_box)
         k = zone_constants(layer)
-        preact_box = Box(k.out_lo, k.out_hi)
-
-        # --- generator side -------------------------------------------------
-        p_int = zone_internal(k, layer, eps=eps)
-        other_slots = [i for i in range(len(var_map)) if i not in cur_slots]
-        if other_slots:
-            carried = internal_to_zone(hull)
-            ivals = []
-            for s in other_slots:
-                lo = -carried.entries[0, s + 1]
-                hi = carried.entries[s + 1, 0]
-                pad = max(hi - lo, 1.0) * options.emb_pad
-                ivals.append((lo - pad, hi + pad))
-            # splice the non-current tracked dims in front, preserving order
-            big = emb_box_internal(p_int, ivals, 0, eps=eps)
-            # current order: other_slots dims, then cur, then new
-            perm = _restore_order(other_slots, cur_slots, len(var_map), n_new)
-            big = TropInternal(big.generators[:, perm])
+        layers.append((layer, k))
+        n_new = layer.n_outputs
+        pre = list(range(n_old, n_old + n_new))
+        # tracked slots of the (old, pre[, post]) space: inputs, every hidden
+        # stage with track_all, and the new stage's values
+        kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
+        sel = kept + ([i + n_new for i in pre] if act else pre)
+        if oct_zone is not None:
+            oct_zone, zone, gens, big = _oct_step(oct_zone, cur, layer, act, sel, eps)
         else:
-            big = p_int
-        new_map = var_map + [(li + 1, j) for j in range(n_new)]
-        h_slots = list(range(len(var_map), len(var_map) + n_new))
-        if act:
-            big = relu_extend(big, h_slots, eps=eps)
-            post_map = new_map + [(li + 1, j) for j in range(n_new)]
-            hull_next_map, hull_next = _project_tracked(
-                big, post_map, keep_preact=False, track_all=options.track_all, eps=eps
-            )
-        else:
-            hull_next_map, hull_next = _project_tracked(
-                big, new_map, keep_preact=True, track_all=options.track_all, eps=eps
-            )
-
-        # --- zone side -------------------------------------------------------
-        preact_record = None
-        if options.mode is ChainMode.ZONE and options.domain is AbsDomain.ZONE:
-            zone, preact_record = _zone_step(
-                zone, var_map, cur_slots, layer, k, act, hull_next, hull_next_map, eps
-            )
-        elif options.mode is ChainMode.ZONE:
-            oct_zone, zone, preact_record = _oct_step(
-                oct_zone, var_map, cur_slots, layer, k, act, hull_next, hull_next_map, eps
-            )
-        if options.mode is not ChainMode.ZONE:
-            zone = internal_to_zone(hull_next)
-
-        # --- external side ----------------------------------------------------
-        if ext is not None:
-            p_ext = zone_external(k, layer)
-            if options.subdiv is not None and li == 0:
-                p_ext = intersect_external(
-                    p_ext, subdivide_constraints(layer, options.subdiv, options.subdiv_cfg)
-                )
-            h_dims = list(range(len(ext_map), len(ext_map) + n_new))
-            ext_map = ext_map + [("pre", li + 1, j) for j in range(n_new)]
-            p_big = _ext_embed(p_ext, ext_feed, len(ext_map) - n_new, n_new)
-            ext = intersect_external(emb_external(ext, n_new, ext.dim), p_big)
+            gens = zone_to_internal(_layer_zone(zone, cur, layer, k, eps), eps=eps)
             if act:
-                y_dims = list(range(len(ext_map), len(ext_map) + n_new))
-                ext_map = ext_map + [("post", li + 1, j) for j in range(n_new)]
-                ext = emb_external(ext, n_new, ext.dim)
-                ext = intersect_external(
-                    ext, relu_external(ext, h_dims, y_dims, preact_box)
-                )
-                ext_feed = y_dims
-            else:
-                ext_feed = h_dims
-
-        var_map = hull_next_map
-        hull = hull_next
-        new_slots = [i for i, (s, _) in enumerate(var_map) if s == li + 1]
-        stage_box = dbm_box(zone.slice([i + 1 for i in new_slots]))
+                gens = relu_extend(gens, pre, eps=eps)
+            big = internal_to_zone(gens)
+            zone = big.slice([i + 1 for i in sel])
+        stage_box = dbm_box(zone.slice(range(len(kept) + 1, len(sel) + 1)))
         stage_boxes.append(stage_box)
         if options.keep_layer_records:
+            keys = list(var_map) + [("pre", j) for j in range(n_new)]
+            if act:
+                keys += [("post", j) for j in range(n_new)]
             records.append(
                 {
                     "stage": li + 1,
                     "input_box": cur_box,
-                    "preact_box": preact_box,
+                    "preact_box": Box(k.out_lo, k.out_hi),
                     "box": stage_box,
-                    "preact_zone": preact_record,
+                    "preact_zone": {"dbm": big, "keys": keys},
                 }
             )
+        var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
-    zone_final = dbm_intersect(zone, internal_to_zone(hull), eps=eps)
-    if zone_final is EMPTY:
-        raise EmptyAbstraction("final zone intersection came out empty")
     diag = {
         "mode": options.mode.value,
         "domain": options.domain.value,
@@ -531,13 +471,12 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> Anal
         "seconds": time.perf_counter() - t0,
         "layers": records,
     }
-    if ext is not None:
-        diag["external"] = ext
-        diag["external_map"] = ext_map
+    if options.mode is ChainMode.EXTERNAL:
+        diag["external"], diag["external_map"] = _external_system(net, layers, options)
     return AnalysisResult(
         var_map=var_map,
-        internal=hull,
-        zone=zone_final,
+        internal=proj_internal(gens, sel, eps=eps),
+        zone=zone,
         bounds=stage_boxes,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
@@ -545,47 +484,18 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> Anal
     )
 
 
-def _restore_order(other_slots, cur_slots, n_old, n_new):
-    """Permutation mapping (others..., cur..., new...) back to var-map order."""
-    order_now = list(other_slots) + list(cur_slots) + [n_old + j for j in range(n_new)]
-    perm = [0] * len(order_now)
-    for pos, slot in enumerate(order_now):
-        perm[slot] = pos
-    return perm
-
-
-def _project_tracked(poly, dim_map, keep_preact, track_all, eps):
-    """Drop untracked dimensions; returns (new map, projected hull)."""
-    last = max(s for s, _ in dim_map)
-    keep = []
-    seen_new = 0
-    for i, (s, j) in enumerate(dim_map):
-        if s == last:
-            # with an activation the pre-activation copy comes first and is
-            # dropped; the clamped copy has the same (stage, neuron) key
-            if not keep_preact and seen_new < _count(dim_map, last) // 2:
-                seen_new += 1
-                continue
-            keep.append(i)
-        elif track_all and s > 0:
-            keep.append(i)
-        elif s == 0:
-            keep.append(i)
-    new_map = [dim_map[i] for i in keep]
-    return new_map, proj_internal(poly, keep, eps=eps)
-
-
-def _count(dim_map, stage):
-    return sum(1 for s, _ in dim_map if s == stage)
-
-
-def _current_box(hull, zone, oct_zone, cur_slots, eps) -> Box:
-    if oct_zone is not None:
-        full = oct_zone.box()
-        return Box(full.lo[cur_slots], full.hi[cur_slots])
-    if zone is not None:
-        return dbm_box(zone.slice([i + 1 for i in cur_slots]))
-    return dbm_box(internal_to_zone(hull).slice([i + 1 for i in cur_slots]))
+def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
+    """Closed zone over (carried, h): the carried zone met with the layer's
+    tight zone over (current layer, h)."""
+    n_old = zone.dim
+    n_new = layer.n_outputs
+    e = embed_dbm(zone, list(range(1, n_old + 1)), n_old + n_new).entries
+    idx = np.asarray([0, *[i + 1 for i in cur], *range(n_old + 1, n_old + n_new + 1)])
+    e[np.ix_(idx, idx)] = np.minimum(e[np.ix_(idx, idx)], zone_dbm(k, layer).entries)
+    closed = dbm_close(Dbm(e), eps=eps)
+    if closed is EMPTY:
+        raise EmptyAbstraction("layer zone does not meet the carried zone")
+    return closed
 
 
 def _oct_from_box(box: Box) -> OctDbm:
@@ -602,86 +512,41 @@ def _oct_from_box(box: Box) -> OctDbm:
     return out
 
 
-def _zone_step(zone, var_map, cur_slots, layer, k, act, hull_next, hull_next_map, eps):
-    """One layer of the plain zone chain; returns (next zone, pre-act record)."""
-    n_new = layer.n_outputs
-    n_old = len(var_map)
-    n_big = n_old + n_new + (n_new if act else 0)
-    big = embed_dbm(zone, [i + 1 for i in range(n_old)], n_big)
-    entries = big.entries.copy()
-    # layer rows over (current, h)
-    ldbm = zone_dbm(k, layer)
-    l_slots = [s + 1 for s in cur_slots] + [n_old + j + 1 for j in range(n_new)]
-    idx = np.asarray([0, *l_slots], dtype=int)
-    sub = entries[np.ix_(idx, idx)]
-    entries[np.ix_(idx, idx)] = np.minimum(sub, ldbm.entries)
-    if act:
-        for j in range(n_new):
-            _relu_zone_rows(
-                entries,
-                n_old + j + 1,
-                n_old + n_new + j + 1,
-                float(k.out_lo[j]),
-                float(k.out_hi[j]),
-            )
-    closed = dbm_close(Dbm(entries), eps=eps)
-    if closed is EMPTY:
-        raise EmptyAbstraction("zone chain produced an empty zone")
-    # keep the refined pre-activation relations around before projection
-    big_map = list(var_map) + [("pre", j) for j in range(n_new)]
-    if act:
-        big_map += [("post", j) for j in range(n_new)]
-    record = {"dbm": closed, "keys": big_map}
-    keep = _match_slots(var_map, hull_next_map, n_old, n_new, act)
-    nxt = closed.slice([i + 1 for i in keep])
-    nxt = dbm_intersect(nxt, internal_to_zone(hull_next), eps=eps)
-    if nxt is EMPTY:
-        raise EmptyAbstraction("zone chain produced an empty zone")
-    return nxt, record
+def _oct_step(oct_zone, cur, layer, act, sel, eps):
+    """One layer of the octagon chain in the doubled space.
 
-
-def _match_slots(old_map, target_map, n_old, n_new, act):
-    """Slots in the (old, pre, post) big space realising the projected map.
-
-    Old stages keep their slots; the new stage lives in the post block when
-    there is an activation, else in the pre block.
+    Returns the next octagon, its plus-block zone, the clamped generators of
+    the pre-activation plus block, and the plus-block zone of the whole
+    (old, pre[, post]) space.
     """
-    pos_of = {key: i for i, key in enumerate(old_map[:n_old])}
-    base_new = n_old + (n_new if act else 0)
-    return [pos_of.get(key, base_new + key[1]) for key in target_map]
-
-
-def _oct_step(oct_zone, var_map, cur_slots, layer, k, act, hull_next, hull_next_map, eps):
-    """One layer of the octagon chain in the doubled space."""
     n_new = layer.n_outputs
-    n_old = len(var_map)
+    n_old = oct_zone.dim
     n_pre = n_old + n_new
-    big = embed_oct(oct_zone, list(range(n_old)), n_pre)
-    entries = big.entries.copy()
+    entries = embed_oct(oct_zone, list(range(n_old)), n_pre).entries
     layer_oct = oct_dbm(oct_constants(layer), layer)
-    l_vars = list(cur_slots) + [n_old + j for j in range(n_new)]
+    l_vars = list(cur) + list(range(n_old, n_pre))
     l_slots = np.asarray(l_vars + [v + n_pre for v in l_vars], dtype=int)
     sub = entries[np.ix_(l_slots, l_slots)]
     entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, layer_oct.entries)
     closed = oct_close(OctDbm(entries), eps=eps)
     if closed is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
-    big_map = list(var_map) + [("pre", j) for j in range(n_new)]
+    gens = zone_to_internal(_plus_block_dbm(closed, list(range(n_pre))), eps=eps)
     if act:
-        closed = _oct_relu_append(closed, [n_old + j for j in range(n_new)], eps)
-        big_map += [("post", j) for j in range(n_new)]
+        pre = list(range(n_old, n_pre))
+        closed = _oct_relu_append(closed, pre, eps)
+        gens = relu_extend(gens, pre, eps=eps)
     n_big = closed.dim
-    record = {"dbm": _plus_block_dbm(closed, list(range(n_big))), "keys": big_map}
-    keep = _match_slots(var_map, hull_next_map, n_old, n_new, act)
-    sel = np.asarray(keep + [i + n_big for i in keep], dtype=int)
-    nxt_oct = OctDbm(closed.entries[np.ix_(sel, sel)].copy(), closed=True)
-    plus = _plus_block_dbm(nxt_oct, list(range(len(keep))))
-    plus = dbm_intersect(plus, internal_to_zone(hull_next), eps=eps)
+    big = _plus_block_dbm(closed, list(range(n_big)))
+    idx = np.asarray(sel + [i + n_big for i in sel], dtype=int)
+    nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)].copy(), closed=True)
+    plus = _plus_block_dbm(nxt_oct, list(range(len(sel))))
+    plus = dbm_intersect(plus, internal_to_zone(gens).slice([i + 1 for i in sel]), eps=eps)
     if plus is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty zone")
-    # fold the tightened generator-side differences back into the octagon
+    # fold the exact ReLU image's differences back into the octagon
     merged = nxt_oct.entries.copy()
-    npp = len(keep)
+    npp = len(sel)
     merged[:npp, :npp] = np.minimum(merged[:npp, :npp], plus.entries[1:, 1:])
     merged[npp:, npp:] = np.minimum(merged[npp:, npp:], plus.entries[1:, 1:].T)
     for i in range(npp):
@@ -690,7 +555,7 @@ def _oct_step(oct_zone, var_map, cur_slots, layer, k, act, hull_next, hull_next_
     closed_next = oct_close(OctDbm(merged), eps=eps)
     if closed_next is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
-    return closed_next, _plus_block_dbm(closed_next, list(range(npp))), record
+    return closed_next, _plus_block_dbm(closed_next, list(range(npp))), gens, big
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
@@ -708,6 +573,38 @@ def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
     if out is EMPTY:
         raise EmptyAbstraction("octagon plus-block is empty")
     return out
+
+
+def _external_system(net: Network, layers: list, options: AnalysisOptions):
+    """Row system over every input, pre- and post-activation variable.
+
+    Built from each layer's tight zone over its input box, plus the ReLU
+    rows over its pre-activation box; inequality systems cannot be
+    projected, so the system keeps every stage.  Returns (system, map).
+    """
+    ext = TropExternal.empty(net.n_inputs)
+    ext_map = [("x", 0, j) for j in range(net.n_inputs)]
+    feed = list(range(net.n_inputs))
+    for li, (layer, k) in enumerate(layers):
+        n_new = layer.n_outputs
+        p_ext = zone_external(k, layer)
+        if options.subdiv is not None and li == 0:
+            p_ext = intersect_external(
+                p_ext, subdivide_constraints(layer, options.subdiv, options.subdiv_cfg)
+            )
+        h_dims = list(range(len(ext_map), len(ext_map) + n_new))
+        ext_map += [("pre", li + 1, j) for j in range(n_new)]
+        p_big = _ext_embed(p_ext, feed, len(ext_map) - n_new, n_new)
+        ext = intersect_external(emb_external(ext, n_new, ext.dim), p_big)
+        feed = h_dims
+        if net.has_relu(li):
+            feed = list(range(len(ext_map), len(ext_map) + n_new))
+            ext_map += [("post", li + 1, j) for j in range(n_new)]
+            ext = emb_external(ext, n_new, ext.dim)
+            ext = intersect_external(
+                ext, relu_external(ext, h_dims, feed, Box(k.out_lo, k.out_hi))
+            )
+    return ext, ext_map
 
 
 def _ext_embed(p_ext: TropExternal, cur_slots, n_before_new, n_new) -> TropExternal:

@@ -198,7 +198,6 @@ def check_with_subdivision(
         track_all=options.track_all,
         subdiv=None,  # the grid is handled here, one analysis per cell
         eps=options.eps,
-        emb_pad=options.emb_pad,
         keep_layer_records=False,
     )
     worst = float("inf")

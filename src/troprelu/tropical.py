@@ -229,6 +229,16 @@ def internal_to_zone(poly: TropInternal) -> Dbm:
     return Dbm(-sub.T, closed=True)
 
 
+def _first_distinct(g: np.ndarray, eps: float) -> list:
+    """Row indices of g without near-duplicates (max-abs within eps), first
+    occurrence kept, in order."""
+    keep = [0]
+    for i in range(1, g.shape[0]):
+        if (np.abs(g[keep] - g[i]).max(axis=1) > eps).all():
+            keep.append(i)
+    return keep
+
+
 def extreme_filter(poly: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal:
     """Minimal generating set: drop generators the others already combine to.
 
@@ -239,11 +249,7 @@ def extreme_filter(poly: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal
     g = poly.generators
     if g.shape[0] <= 1:
         return poly
-    keep = []
-    for i in range(g.shape[0]):
-        if not any(np.abs(g[i] - g[k]).max() <= eps for k in keep):
-            keep.append(i)
-    g = g[keep]
+    g = g[_first_distinct(g, eps)]
     alive = list(range(g.shape[0]))
     for i in range(g.shape[0] - 1, -1, -1):
         if len(alive) == 1:
@@ -304,12 +310,7 @@ def emb_internal(
     high = np.insert(g[~dominates_other], position, b, axis=1)
     pts = np.vstack([low, high]) if b > a else low
     # drop exact duplicates introduced by degenerate intervals
-    seen = []
-    keep = []
-    for i in range(pts.shape[0]):
-        if not any(np.abs(pts[i] - pts[k]).max() <= eps for k in keep):
-            keep.append(i)
-    return TropInternal(pts[keep])
+    return TropInternal(pts[_first_distinct(pts, eps)])
 
 
 def emb_box_internal(

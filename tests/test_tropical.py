@@ -348,3 +348,24 @@ class TestProjInternal:
     def test_bad_index(self):
         with pytest.raises(BadIndex):
             proj_internal(RELU_SEG, [0, 7])
+
+
+class TestDuplicateScan:
+    """The vectorised duplicate scan against the per-pair loop it replaced."""
+
+    @staticmethod
+    def loop_reference(g, eps):
+        keep = []
+        for i in range(g.shape[0]):
+            if not any(np.abs(g[i] - g[k]).max() <= eps for k in keep):
+                keep.append(i)
+        return keep
+
+    def test_matches_loop_with_near_duplicates(self, rng):
+        from troprelu.tropical import _first_distinct
+
+        for _ in range(50):
+            base = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), int(rng.integers(1, 5))))
+            rows = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, 20)))]
+            g = rows + rng.choice([0.0, 0.5e-9, 2e-9], size=rows.shape)
+            assert _first_distinct(g, 1e-9) == self.loop_reference(g, 1e-9)
