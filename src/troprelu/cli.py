@@ -37,7 +37,7 @@ from .network import (
     analyze,
 )
 from .sherlock import parse_sherlock
-from .speccheck import LinearAssertion, check, check_with_subdivision
+from .speccheck import LinearAssertion, check
 from .subdivision import SubdivisionGrid
 
 
@@ -219,24 +219,18 @@ def run_cli(argv=None) -> int:
     try:
         net = parse_sherlock(args.network, final_relu=not args.no_final_relu)
         in_box, assertions = load_spec_file(args.spec, net.n_inputs, net.n_outputs)
+        grid = None
+        if args.subdiv:
+            grid = SubdivisionGrid.uniform(in_box, _parse_subdiv(args.subdiv, net.n_inputs))
         options = AnalysisOptions(
             mode=ChainMode(args.mode),
             domain=AbsDomain(args.domain),
             track_all=args.track == "all",
+            subdiv=grid,
             eps=args.eps,
         )
-        grid = None
-        if args.subdiv:
-            counts = _parse_subdiv(args.subdiv, net.n_inputs)
-            grid = SubdivisionGrid.uniform(in_box, counts)
         result = analyze(net, in_box, options)
-        verdicts = []
-        for a in assertions:
-            if grid is not None:
-                v = check_with_subdivision(a, net, in_box, grid, options, eps=args.eps)
-            else:
-                v = check(a, result, eps=args.eps)
-            verdicts.append((a.name, v))
+        verdicts = [(a.name, check(a, result, eps=args.eps)) for a in assertions]
         if args.csv:
             dims_text, _, csv_path = args.csv.partition(":")
             if not csv_path:

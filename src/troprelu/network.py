@@ -35,12 +35,18 @@ zone of the clamped generators of the pre-activation plus block.
 
 ``AnalysisResult.internal`` holds the clamped generators of the last layer,
 projected onto the tracked slots.
+
+With a subdivision grid in cell-wise mode (``AnalysisOptions.subdiv``) the
+loop runs once per grid cell and the cells are joined: the zone, the
+generators and every stage's bounds cover the union of the cells, and
+``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
+decides assertions cell by cell without analysing again.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -323,6 +329,7 @@ class AnalysisResult:
     n_inputs: int
     n_outputs: int
     diagnostics: dict = field(default_factory=dict)
+    cells: list = field(default_factory=list)  # (cell Box, closed cell Dbm) per grid cell
 
     @property
     def input_slots(self) -> list:
@@ -342,69 +349,53 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
         SubdivisionMode.CELLWISE_UNION,
         SubdivisionMode.BOTH,
     ):
-        return _analyze_cellwise_union(net, in_box, options)
+        return _analyze_cellwise_union(net, options)
     return _analyze_single(net, in_box, options)
 
 
-def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions) -> AnalysisResult:
+def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisResult:
+    """Analyse every cell of ``options.subdiv`` once and join the cells.
+
+    The zone is the entrywise max of the closed cell zones (a join of closed
+    DBMs is closed), ``internal`` the union of the cell generators and each
+    stage's bounds the hull of the cells' stage boxes.  ``cells`` keeps each
+    cell's box and zone for the per-cell checks of ``speccheck.check``.
+    """
     grid = options.subdiv
     if grid.n_cells > options.subdiv_cfg.cell_budget:
         raise CellBudgetExceeded(
             f"{grid.n_cells} cells exceed the budget of {options.subdiv_cfg.cell_budget}"
         )
-    cell_opts = AnalysisOptions(
-        mode=options.mode,
-        domain=options.domain,
-        track_all=options.track_all,
-        subdiv=None,
-        subdiv_cfg=options.subdiv_cfg,
-        eps=options.eps,
-        keep_layer_records=False,
-    )
+    cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
-    combined: Optional[AnalysisResult] = None
-    hull: Optional[TropInternal] = None
-    zones = []
-    n_cells = 0
+    cells = []
     for cell in grid.cells():
         res = _analyze_single(net, cell, cell_opts)
-        n_cells += 1
-        hull = res.internal if hull is None else union_internal(hull, res.internal, eps=options.eps)
-        zones.append(res.zone)
-        combined = res
-    # zone hull of a union: entrywise max of the per-cell zones
-    zentries = zones[0].entries.copy()
-    for z in zones[1:]:
-        np.maximum(zentries, z.entries, out=zentries)
-    zone = dbm_intersect(Dbm(zentries, closed=False), internal_to_zone(hull), eps=options.eps)
-    if zone is EMPTY:
-        raise EmptyAbstraction("cellwise union produced an empty zone")
-    bounds = _stage_bounds_from(combined.var_map, zone, in_box, net)
+        if not cells:
+            internal, zentries, bounds = res.internal, res.zone.entries.copy(), res.bounds
+        else:
+            internal = union_internal(internal, res.internal, eps=options.eps)
+            np.maximum(zentries, res.zone.entries, out=zentries)
+            bounds = [
+                Box(np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi))
+                for a, b in zip(bounds, res.bounds)
+            ]
+        cells.append((cell, res.zone))
     return AnalysisResult(
-        var_map=combined.var_map,
-        internal=hull,
-        zone=zone,
+        var_map=res.var_map,
+        internal=internal,
+        zone=Dbm(zentries, closed=True),
         bounds=bounds,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
         diagnostics={
             "mode": options.mode.value,
             "domain": options.domain.value,
-            "cells": n_cells,
+            "cells": len(cells),
             "seconds": time.perf_counter() - t0,
         },
+        cells=cells,
     )
-
-
-def _stage_bounds_from(var_map, zone: Dbm, in_box: Box, net: Network) -> list:
-    """Rebuild per-stage bounds for the stages present in the var map."""
-    out = {0: in_box}
-    for s in sorted({st for st, _ in var_map}):
-        if s == 0:
-            continue
-        slots = [i + 1 for i, (st, _) in enumerate(var_map) if st == s]
-        out[s] = dbm_box(zone.slice(slots))
-    return [out.get(s) for s in range(net.n_layers + 1)]
 
 
 def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> AnalysisResult:

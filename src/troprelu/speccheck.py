@@ -7,15 +7,16 @@ proves the assertion for every concrete execution; a negative minimum
 proves nothing, because the zone over-approximates, so the verdict is
 Unknown rather than Violated.
 
-Under an input subdivision the check runs per grid cell: the assertion is
-verified iff every cell whose box meets the assertion's input restriction
-passes.  Refining the grid only shrinks per-cell zones, so a Verified
-verdict never flips back to Unknown.
+Under an input subdivision the check runs per grid cell of one cell-wise
+analysis (``AnalysisResult.cells``): the assertion is verified iff every
+cell whose box meets the assertion's input restriction passes.  Refining
+the grid only shrinks per-cell zones, so a Verified verdict never flips
+back to Unknown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .errors import EmptyFeasibleSet, VariableMismatch
 from .maxplus import DEFAULT_EPS
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
 from .simplex import minimize_over_halfspaces
-from .subdivision import SubdivisionGrid
+from .subdivision import SubdivisionGrid, SubdivisionMode
 
 
 class VerdictStatus(Enum):
@@ -123,21 +124,15 @@ def min_over_zone(
 
 
 def _halfspaces_of(entries: np.ndarray):
-    size = entries.shape[0]
-    rows = []
-    bnds = []
-    for i in range(size):
-        for j in range(size):
-            if i == j or not np.isfinite(entries[i, j]):
-                continue
-            r = np.zeros(size - 1)
-            if i > 0:
-                r[i - 1] = 1.0
-            if j > 0:
-                r[j - 1] = -1.0
-            rows.append(r)
-            bnds.append(entries[i, j])
-    return np.asarray(rows), np.asarray(bnds)
+    """Rows r.v <= b, one per finite off-diagonal entry x_i - x_j <= e_ij,
+    in row-major (i, j) order; slot 0 is the constant and drops out."""
+    finite = np.isfinite(entries)
+    np.fill_diagonal(finite, False)
+    i, j = np.nonzero(finite)
+    rows = np.zeros((i.size, entries.shape[0]))
+    rows[np.arange(i.size), i] = 1.0
+    rows[np.arange(i.size), j] = -1.0
+    return rows[:, 1:], entries[i, j]
 
 
 def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
@@ -154,23 +149,34 @@ def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
 
 
 def check(a: LinearAssertion, result: AnalysisResult, eps: float = DEFAULT_EPS) -> Verdict:
-    """Verified iff the zone minimum of h is >= -eps; otherwise Unknown."""
+    """Verified iff the zone minimum of h is >= -eps; otherwise Unknown.
+
+    On a subdivided result (``result.cells`` non-empty) the minimum is taken
+    per cell: cells disjoint from the restriction are skipped, each other
+    cell's LP is restricted to the cell met with the restriction, and the
+    witness is the least cell minimum.
+    """
     obj = _objective_of(a, result)
-    restriction = None
-    slots = None
-    if a.restrict is not None:
-        restriction = a.restriction_box(result.bounds[0])
-        if restriction is None:
-            return Verdict(VerdictStatus.VERIFIED, float("inf"), "vacuous")
-        slots = [s + 1 for s in result.input_slots]
-    try:
-        m = min_over_zone(
-            result.zone, restriction, obj, a.const, restrict_slots=slots, eps=eps
-        )
-    except EmptyFeasibleSet:
+    if result.cells:
+        method = "cellwise-zone-lp"
+        pieces = [(zone, a.restriction_box(cell)) for cell, zone in result.cells]
+        pieces = [(zone, meet) for zone, meet in pieces if meet is not None]
+    else:
+        method = "zone-lp"
+        meet = a.restriction_box(result.bounds[0])
+        pieces = [] if meet is None else [(result.zone, None if a.restrict is None else meet)]
+    slots = [s + 1 for s in result.input_slots]
+    minima = []
+    for zone, meet in pieces:
+        try:
+            minima.append(min_over_zone(zone, meet, obj, a.const, restrict_slots=slots, eps=eps))
+        except EmptyFeasibleSet:
+            pass
+    if not minima:
         return Verdict(VerdictStatus.VERIFIED, float("inf"), "vacuous")
+    m = min(minima)
     status = VerdictStatus.VERIFIED if m >= -eps else VerdictStatus.UNKNOWN
-    return Verdict(status, m, "zone-lp")
+    return Verdict(status, m, method)
 
 
 def check_with_subdivision(
@@ -183,39 +189,9 @@ def check_with_subdivision(
 ) -> Verdict:
     """Per-cell check: every cell meeting the restriction must pass.
 
-    Cells disjoint from the restriction are vacuously fine; if no cell
-    meets it the verdict is Verified with an infinite witness.  All cells
-    are scanned even after a failure, so the witness is the global
-    per-cell minimum: shifting the assertion constant by its negation
-    always yields a Verified assertion.
+    One cell-wise analysis of ``grid`` (see ``check``); the witness is the
+    least per-cell minimum, so shifting the assertion constant by its
+    negation always yields a Verified assertion.
     """
-    restriction = a.restriction_box(in_box)
-    if restriction is None:
-        return Verdict(VerdictStatus.VERIFIED, float("inf"), "vacuous")
-    cell_options = AnalysisOptions(
-        mode=options.mode,
-        domain=options.domain,
-        track_all=options.track_all,
-        subdiv=None,  # the grid is handled here, one analysis per cell
-        eps=options.eps,
-        keep_layer_records=False,
-    )
-    worst = float("inf")
-    all_ok = True
-    for cell in grid.cells():
-        meet = cell.intersect(restriction)
-        if meet is EMPTY:
-            continue
-        res = analyze(net, cell, cell_options)
-        cell_assert = LinearAssertion(
-            a.in_coeffs, a.out_coeffs, a.const, _intervals_of(meet), a.name
-        )
-        v = check(cell_assert, res, eps=eps)
-        worst = min(worst, v.minimum)
-        all_ok &= v.verified
-    status = VerdictStatus.VERIFIED if all_ok else VerdictStatus.UNKNOWN
-    return Verdict(status, worst, "cellwise-zone-lp")
-
-
-def _intervals_of(box: Box) -> tuple:
-    return tuple((float(lo), float(hi)) for lo, hi in zip(box.lo, box.hi))
+    cfg = replace(options.subdiv_cfg, mode=SubdivisionMode.CELLWISE_UNION)
+    return check(a, analyze(net, in_box, replace(options, subdiv=grid, subdiv_cfg=cfg)), eps=eps)
