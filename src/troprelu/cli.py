@@ -146,10 +146,16 @@ def _parse_subdiv(text: str, n_inputs: int):
         name = name.strip()
         if not name.startswith("x"):
             raise TropReluError(f"--subdiv expects input names like x1, got {name!r}")
-        idx = int(name[1:]) - 1
+        try:
+            idx = int(name[1:]) - 1
+            count = int(num)
+        except ValueError:
+            raise TropReluError(
+                f"--subdiv expects NAME:COUNT pairs such as x1:2,x2:4, got {part!r}"
+            ) from None
         if idx < 0 or idx >= n_inputs:
             raise TropReluError(f"--subdiv: no input named {name}")
-        counts[idx] = int(num)
+        counts[idx] = count
     return counts
 
 

@@ -24,7 +24,7 @@ on (+x_j) - (-x_i), both meaning x_i + x_j <= c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -162,19 +162,46 @@ class Dbm:
 MaybeDbm = Union[Dbm, _EmptyZone]
 
 
-def _floyd_warshall(m: np.ndarray) -> np.ndarray:
-    for k in range(m.shape[0]):
+def _floyd_warshall(m: np.ndarray, pivots: Optional[Sequence[int]] = None) -> np.ndarray:
+    for k in range(m.shape[0]) if pivots is None else pivots:
         np.minimum(m, m[:, k, None] + m[None, k, :], out=m)
     return m
 
 
-def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
-    """Shortest-path closure; EMPTY iff a diagonal entry goes negative."""
-    m = d.entries.copy()
-    diag = np.diagonal(m).copy()
-    np.fill_diagonal(m, np.minimum(diag, 0.0))
-    _floyd_warshall(m)
+def _shortest_paths(
+    entries: np.ndarray, eps: float, pivots: Optional[Sequence[int]] = None, n_oct: int = 0
+) -> Optional[np.ndarray]:
+    """Floyd-Warshall over ``pivots`` (default all slots) on a copy of
+    ``entries`` with its diagonal clamped to <= 0 (and made coherent if
+    ``n_oct`` gives an octagon's variable count); None if a cycle weighs
+    less than -eps.
+
+    On a flat set (a point box, a dead unit) rounding leaves zero-weight
+    cycles a few ulps negative, and the pass doubles that at every pivot.
+    So a pass that ends with a negative diagonal is redone on entries
+    widened (soundly) by size ulps of the largest one, more than rounding
+    can take off a path; a cycle still below -eps is real.
+    """
+
+    def start(slack: float) -> np.ndarray:
+        m = entries + slack if slack else entries.copy()
+        np.fill_diagonal(m, np.minimum(np.diagonal(m), 0.0))
+        return _coherence_min(m, n_oct) if n_oct else m
+
+    m = _floyd_warshall(start(0.0), pivots)
+    if (np.diagonal(m) >= 0.0).all():
+        return m
+    finite = np.abs(entries[np.isfinite(entries)])
+    m = _floyd_warshall(start(len(m) * np.spacing(finite.max() if finite.size else 0.0)), pivots)
     if (np.diagonal(m) < -eps).any():
+        return None
+    return m
+
+
+def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
+    """Shortest-path closure; EMPTY iff a cycle weighs less than -eps."""
+    m = _shortest_paths(d.entries, eps)
+    if m is None:
         return EMPTY
     np.fill_diagonal(m, 0.0)
     return Dbm(m, closed=True)
@@ -197,7 +224,21 @@ def dbm_box(d: Dbm) -> Box:
     lo = -d.entries[0, 1:]
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise UnboundedVariable("zone has an unbounded variable")
-    return Box(lo.copy(), hi.copy())
+    return _bounds_box(lo, hi)
+
+
+def _bounds_box(lo: np.ndarray, hi: np.ndarray) -> Box:
+    """Box of bounds read off a closed matrix, taking lo > hi within
+    rounding as a point.
+
+    Closure rounds to nearest, so a zero-width variable can come out with
+    lo a few ulps above hi.  An inversion of at most
+    DEFAULT_EPS * (1 + max(|lo|, |hi|)) becomes [min(lo, hi), max(lo, hi)],
+    which only widens the bounds; a larger one still raises EmptyInput.
+    """
+    tol = DEFAULT_EPS * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    point = (lo > hi) & (lo - hi <= tol)
+    return Box(np.where(point, hi, lo), np.where(point, lo, hi))
 
 
 def best_zone_of_points(points: np.ndarray) -> Dbm:
@@ -288,7 +329,7 @@ class OctDbm:
         lo = -np.diagonal(self.entries[n:, :n]) / 2.0
         if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise UnboundedVariable("octagon has an unbounded variable")
-        return Box(lo.copy(), hi.copy())
+        return _bounds_box(lo, hi)
 
     def to_bounded_dbm(self) -> Dbm:
         """View the doubled slots as a plain zone over 2n variables.
@@ -310,39 +351,57 @@ class OctDbm:
         return out
 
 
+def _mirror(n: int) -> np.ndarray:
+    """Slot permutation p -> p̄ of a doubled space over n variables."""
+    return np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
+
+
 def _coherence_min(m: np.ndarray, n: int) -> np.ndarray:
     # entries[p, q] and entries[mirror(q), mirror(p)] encode the same fact
-    perm = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
+    perm = _mirror(n)
     return np.minimum(m, m[np.ix_(perm, perm)].T)
 
 
-def oct_close(o: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
-    """Strong closure of a coherent doubled DBM.
+def oct_close(
+    o: OctDbm, eps: float = DEFAULT_EPS, changed: Optional[Sequence[int]] = None
+) -> Union[OctDbm, _EmptyZone]:
+    """Strong closure of a coherent doubled DBM in one pass.
 
-    Alternates shortest-path closure, the half-sum strengthening
-    m[p,q] <- min(m[p,q], (m[p, p̄] + m[q̄, q]) / 2) and coherence until a
-    fixed point; entries only decrease, so the loop terminates.
+    One Floyd-Warshall pass gives the shortest-path closure, and one
+    half-sum strengthening m[p,q] <- min(m[p,q], (m[p, p̄] + m[q̄, q]) / 2)
+    then makes it strongly closed: for real-valued octagons a closed matrix
+    stays closed under that step (Bagnara, Hill & Zaffanella, MSCS 2009;
+    Miné, HOSC 2006).  A cycle below -eps after either step means EMPTY.
+
+    ``changed`` lists the variables (0-based) whose rows and columns may
+    have changed; the pass then pivots only on their two slots each.  That
+    is the full closure whenever every other slot u is already a satisfied
+    pivot, m[p, q] <= m[p, u] + m[u, q] for all p, q: each shortest path
+    can then drop its unchanged intermediate vertices.  It holds when the
+    unchanged slots are strongly closed among themselves and no changed
+    entry exceeds its paths through them, as for the clamped copies that
+    ``network._oct_relu_append`` appends.  Without ``changed`` every slot
+    pivots.
     """
     n = o.dim
-    m = o.entries.copy()
-    np.fill_diagonal(m, np.minimum(np.diagonal(m), 0.0))
+    pivots = None
+    if changed is not None:
+        var = np.asarray(changed, dtype=int)
+        pivots = np.sort(np.concatenate([var, var + n]))
+    m = _shortest_paths(o.entries, eps, pivots, n_oct=n)
+    if m is None:
+        return EMPTY
+    perm = _mirror(n)
+    unary = m[np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
+    np.minimum(m, (unary[:, None] + unary[perm][None, :]) / 2.0, out=m)
     m = _coherence_min(m, n)
-    # entries only decrease, so the loop stabilises; the cap guards against
-    # float drip-feeding and early exit merely leaves a sound, looser matrix
-    for _ in range(64):
-        prev = m.copy()
-        _floyd_warshall(m)
-        if (np.diagonal(m) < -eps).any():
-            return EMPTY
-        perm = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
-        half = (m[np.arange(2 * n), perm][:, None] + m[perm, np.arange(2 * n)][None, :]) / 2.0
-        np.minimum(m, half, out=m)
-        m = _coherence_min(m, n)
-        if (np.diagonal(m) < -eps).any():
-            return EMPTY
-        np.fill_diagonal(m, np.minimum(np.diagonal(m), 0.0))
-        if np.array_equal(prev, m):
-            break
+    if (np.diagonal(m) < -eps).any():
+        return EMPTY
+    # bounds of a flat direction (a point box, a dead unit) can cross by
+    # rounding, m[p, q] + m[q, p] < 0 within eps; the next pass would
+    # double that negative cycle at every pivot, so widen such a pair to
+    # the interval between its two bounds, as ``_bounds_box`` does
+    np.maximum(m, -m.T, out=m)
     np.fill_diagonal(m, 0.0)
     return OctDbm(m, closed=True)
 

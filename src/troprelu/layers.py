@@ -213,11 +213,25 @@ def oct_constants(layer: AffineLayer) -> OctAbsConstants:
 
 
 def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
-    """Tight octagon as a coherent, closed doubled DBM.
+    """Tight octagon as a coherent, strongly closed doubled DBM.
 
     Variable order (x_1..x_m, y_1..y_n); slot i is +v_i, slot m+n+i is
-    -v_i.  Every entry is the exact sup of the corresponding +-combination
-    over the graph, so strong closure leaves the matrix unchanged.
+    -v_i.  The entries are those of ``_oct_entries`` after one strong
+    closure, which in exact arithmetic leaves them unchanged and in floats
+    moves them by rounding only.
+    """
+    out = oct_close(OctDbm(_oct_entries(k, layer)))
+    if isinstance(out, OctDbm):
+        return out
+    raise EmptyAbstraction("octagon abstraction of a nonempty box came out empty")
+
+
+def _oct_entries(k: OctAbsConstants, layer: AffineLayer) -> np.ndarray:
+    """Raw coherent doubled matrix of the tight octagon (see ``oct_dbm``).
+
+    Every entry is the exact sup of the corresponding +-combination over
+    the graph, so a caller that meets it with another octagon and closes
+    the meet gets the same closure as with ``oct_dbm`` and saves a pass.
     """
     m = layer.n_inputs
     n = layer.n_outputs
@@ -244,10 +258,7 @@ def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
     mixed_lo[xs, ys] = -((lo[:, None] + z.out_lo[None, :]) + k.sum_slack.T)
     e = np.block([[plus, mixed_hi], [mixed_lo, plus.T]])
     np.fill_diagonal(e, 0.0)
-    out = oct_close(OctDbm(e))
-    if isinstance(out, OctDbm):
-        return out
-    raise EmptyAbstraction("octagon abstraction of a nonempty box came out empty")
+    return e
 
 
 def oct_internal(

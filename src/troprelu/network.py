@@ -31,7 +31,9 @@ The modes differ only in what the loop carries between layers:
 In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
 through closure; after ReLU its difference part is tightened with the
-zone of the clamped generators of the pre-activation plus block.
+zone of the clamped generators of the pre-activation plus block, unless
+that zone misses the octagon (generators are merged within eps, so on
+sets narrower than eps it can).
 
 ``AnalysisResult.internal`` holds the clamped generators of the last layer,
 projected onto the tracked slots.
@@ -75,8 +77,8 @@ from .maxplus import BOTTOM, DEFAULT_EPS
 from .layers import (
     AffineLayer,
     ZoneAbsConstants,
+    _oct_entries,
     oct_constants,
-    oct_dbm,
     zone_constants,
     zone_dbm,
     zone_external,
@@ -288,20 +290,29 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float):
         e[src, gp] = np.minimum(e[src, gp], np.minimum(ub_old, old[:, hp]))
         e[gm, src] = np.minimum(e[gm, src], np.minimum(ub_old[mir_old], old[hm, :]))
         e[src, gm] = np.minimum(e[src, gm], np.maximum(ub_old, old[:, hm]))
-    # pairs of clamped copies, decomposed on the column variable through
-    # the freshly written (g_i, h_j) entries
-    for i in range(r):
-        gp_i, gm_i = n + i, m + n + i
-        for row, row_sup in ((gp_i, e[gp_i, gm_i] / 2.0), (gm_i, e[gm_i, gp_i] / 2.0)):
-            for j in range(r):
-                if i == j:
-                    continue
-                hp_j, hm_j = h_vars[j], h_vars[j] + m
-                gp_j, gm_j = n + j, m + n + j
-                e[row, gp_j] = min(e[row, gp_j], row_sup, e[row, hp_j])
-                e[row, gm_j] = min(e[row, gm_j], max(row_sup, e[row, hm_j]))
+    # pairs of clamped copies (rows +g_i then -g_i, columns j != i),
+    # decomposed on the column variable through the (g_i, h_j) entries just
+    # written; each g-g entry depends only on itself and on entries this
+    # update leaves alone, so it is one block update.  np.minimum(b, a)
+    # keeps a on ties as min(a, b) does (signed zeros).
+    gs = np.arange(n, m)
+    rows = np.concatenate([gs, gs + m])
+    row_sup = (np.concatenate([e[gs, gs + m], e[gs + m, gs]]) / 2.0)[:, None]
+    hs = np.asarray(h_vars, dtype=int)
+    pairs = np.tile(~np.eye(r, dtype=bool), (2, 1))
+    plus_g, minus_g = np.ix_(rows, gs), np.ix_(rows, gs + m)
+    e[plus_g] = np.where(
+        pairs, np.minimum(e[np.ix_(rows, hs)], np.minimum(row_sup, e[plus_g])), e[plus_g]
+    )
+    e[minus_g] = np.where(
+        pairs,
+        np.minimum(np.maximum(e[np.ix_(rows, hs + m)], row_sup), e[minus_g]),
+        e[minus_g],
+    )
     np.fill_diagonal(e, 0.0)
-    out = oct_close(OctDbm(e), eps=eps)
+    # the old slots are strongly closed and every new entry is bounded by
+    # their paths, so the copies are the only pivots the closure needs
+    out = oct_close(OctDbm(e), eps=eps, changed=range(n, m))
     if out is EMPTY:
         raise EmptyAbstraction("octagon ReLU transfer produced an empty octagon")
     return out
@@ -350,7 +361,12 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
         SubdivisionMode.BOTH,
     ):
         return _analyze_cellwise_union(net, options)
-    return _analyze_single(net, in_box, options)
+    res, layers = _analyze_single(net, in_box, options)
+    if options.mode is ChainMode.EXTERNAL:
+        res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(
+            net, layers, options
+        )
+    return res
 
 
 def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisResult:
@@ -370,7 +386,7 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
     t0 = time.perf_counter()
     cells = []
     for cell in grid.cells():
-        res = _analyze_single(net, cell, cell_opts)
+        res, _ = _analyze_single(net, cell, cell_opts)
         if not cells:
             internal, zentries, bounds = res.internal, res.zone.entries.copy(), res.bounds
         else:
@@ -398,7 +414,12 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
     )
 
 
-def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> AnalysisResult:
+def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
+    """One pass of the layer loop over ``in_box``.
+
+    Returns the result and the (layer, zone constants) pairs, from which
+    ``analyze`` builds the external system of an unsubdivided run.
+    """
     eps = options.eps
     t0 = time.perf_counter()
     var_map = [(0, j) for j in range(net.n_inputs)]
@@ -462,8 +483,6 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> Anal
         "seconds": time.perf_counter() - t0,
         "layers": records,
     }
-    if options.mode is ChainMode.EXTERNAL:
-        diag["external"], diag["external_map"] = _external_system(net, layers, options)
     return AnalysisResult(
         var_map=var_map,
         internal=proj_internal(gens, sel, eps=eps),
@@ -472,7 +491,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions) -> Anal
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
         diagnostics=diag,
-    )
+    ), layers
 
 
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
@@ -514,11 +533,11 @@ def _oct_step(oct_zone, cur, layer, act, sel, eps):
     n_old = oct_zone.dim
     n_pre = n_old + n_new
     entries = embed_oct(oct_zone, list(range(n_old)), n_pre).entries
-    layer_oct = oct_dbm(oct_constants(layer), layer)
     l_vars = list(cur) + list(range(n_old, n_pre))
     l_slots = np.asarray(l_vars + [v + n_pre for v in l_vars], dtype=int)
     sub = entries[np.ix_(l_slots, l_slots)]
-    entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, layer_oct.entries)
+    # the meet with the layer's raw octagon closes to the meet with its closure
+    entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, _oct_entries(oct_constants(layer), layer))
     closed = oct_close(OctDbm(entries), eps=eps)
     if closed is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
@@ -531,39 +550,43 @@ def _oct_step(oct_zone, cur, layer, act, sel, eps):
     big = _plus_block_dbm(closed, list(range(n_big)))
     idx = np.asarray(sel + [i + n_big for i in sel], dtype=int)
     nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)].copy(), closed=True)
-    plus = _plus_block_dbm(nxt_oct, list(range(len(sel))))
-    plus = dbm_intersect(plus, internal_to_zone(gens).slice([i + 1 for i in sel]), eps=eps)
-    if plus is EMPTY:
-        raise EmptyAbstraction("octagon chain produced an empty zone")
-    # fold the exact ReLU image's differences back into the octagon
-    merged = nxt_oct.entries.copy()
     npp = len(sel)
-    merged[:npp, :npp] = np.minimum(merged[:npp, :npp], plus.entries[1:, 1:])
-    merged[npp:, npp:] = np.minimum(merged[npp:, npp:], plus.entries[1:, 1:].T)
-    for i in range(npp):
-        merged[i, i + npp] = min(merged[i, i + npp], 2.0 * plus.entries[i + 1, 0])
-        merged[i + npp, i] = min(merged[i + npp, i], 2.0 * plus.entries[0, i + 1])
-    closed_next = oct_close(OctDbm(merged), eps=eps)
-    if closed_next is EMPTY:
-        raise EmptyAbstraction("octagon chain produced an empty octagon")
+    plus = _plus_block_dbm(nxt_oct, list(range(npp)))
+    plus = dbm_intersect(plus, internal_to_zone(gens).slice([i + 1 for i in sel]), eps=eps)
+    # fold the exact ReLU image's differences back into the octagon.  The
+    # generators are filtered within eps, so on a set narrower than eps
+    # their zone can miss the octagon; the octagon then stands alone.
+    closed_next = nxt_oct
+    if plus is not EMPTY:
+        merged = nxt_oct.entries.copy()
+        merged[:npp, :npp] = np.minimum(merged[:npp, :npp], plus.entries[1:, 1:])
+        merged[npp:, npp:] = np.minimum(merged[npp:, npp:], plus.entries[1:, 1:].T)
+        for i in range(npp):
+            merged[i, i + npp] = min(merged[i, i + npp], 2.0 * plus.entries[i + 1, 0])
+            merged[i + npp, i] = min(merged[i + npp, i], 2.0 * plus.entries[0, i + 1])
+        out = oct_close(OctDbm(merged), eps=eps)
+        if out is not EMPTY:
+            closed_next = out
     return closed_next, _plus_block_dbm(closed_next, list(range(npp))), gens, big
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
-    """Plain zone over selected variables read off a closed octagon."""
+    """Plain zone over selected variables read off a strongly closed octagon.
+
+    The plus block gives the differences and the halved mirror entries the
+    bounds.  That zone is closed as it stands: strengthening bounds each
+    difference by two halved unary bounds, and closure with coherence each
+    unary bound by a difference plus another unary bound.
+    """
     n = o.dim
     k = len(vars_)
-    e = np.full((k + 1, k + 1), INF)
     sel = np.asarray(vars_, dtype=int)
+    e = np.empty((k + 1, k + 1))
     e[1:, 1:] = o.entries[np.ix_(sel, sel)]
-    for pos, v in enumerate(vars_):
-        e[pos + 1, 0] = o.entries[v, v + n] / 2.0
-        e[0, pos + 1] = o.entries[v + n, v] / 2.0
+    e[1:, 0] = o.entries[sel, sel + n] / 2.0
+    e[0, 1:] = o.entries[sel + n, sel] / 2.0
     np.fill_diagonal(e, 0.0)
-    out = dbm_close(Dbm(e))
-    if out is EMPTY:
-        raise EmptyAbstraction("octagon plus-block is empty")
-    return out
+    return Dbm(e, closed=True)
 
 
 def _external_system(net: Network, layers: list, options: AnalysisOptions):

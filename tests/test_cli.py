@@ -189,3 +189,19 @@ class TestCli:
         bad.write_text("{not json")
         rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("subdiv", ["x1:two", "x1"])
+    def test_malformed_subdiv_exits_one(self, subdiv, capsys):
+        rc = run_cli(
+            [
+                "--network",
+                str(FIXTURES / "running.nt"),
+                "--spec",
+                str(FIXTURES / "p2.spec"),
+                "--subdiv",
+                subdiv,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--subdiv expects NAME:COUNT pairs" in err and repr(subdiv) in err

@@ -237,3 +237,37 @@ class TestOctDbm:
         b = dbm_box(d)
         assert np.allclose(b.lo, [-1, -1, -1, -1])
         assert np.allclose(b.hi, [1, 1, 1, 1])
+
+
+class TestCrossedBounds:
+    """Bounds read off a closed matrix may cross by rounding on a point."""
+
+    def test_dbm_box_widens_a_rounding_inversion(self):
+        # lower bound 0.30000000000000004 one ulp above the upper bound 0.3
+        e = np.array([[0.0, -0.30000000000000004], [0.3, 0.0]])
+        b = dbm_box(Dbm(e, closed=True))
+        assert b.lo[0] == 0.3 and b.hi[0] == 0.30000000000000004
+
+    def test_oct_box_widens_a_rounding_inversion(self):
+        e = np.array([[0.0, 0.6], [-0.6000000000000001, 0.0]])
+        b = OctDbm(e, closed=True).box()
+        assert b.lo[0] == 0.3 and b.hi[0] == 0.6000000000000001 / 2.0
+
+    def test_tolerance_scales_with_magnitude(self):
+        # 1e-7 apart at magnitude 1e3 is within 1e-9 (1 + 1e3)
+        e = np.array([[0.0, -(1000.0 + 1e-7)], [1000.0, 0.0]])
+        b = dbm_box(Dbm(e, closed=True))
+        assert b.lo[0] == 1000.0 and b.hi[0] == 1000.0 + 1e-7
+
+    @pytest.mark.parametrize("gap", [1e-6, 1.0])
+    def test_larger_gaps_still_raise(self, gap):
+        e = np.array([[0.0, -(0.3 + gap)], [0.3, 0.0]])
+        with pytest.raises(EmptyInput):
+            dbm_box(Dbm(e, closed=True))
+        o = np.array([[0.0, 0.6], [-(0.6 + 2 * gap), 0.0]])
+        with pytest.raises(EmptyInput):
+            OctDbm(o, closed=True).box()
+
+    def test_consistent_bounds_are_unchanged(self):
+        b = dbm_box(Dbm(ZONE2, closed=True))
+        assert np.array_equal(b.lo, [-3.0, -1.0]) and np.array_equal(b.hi, [1.0, 3.0])

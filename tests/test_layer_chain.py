@@ -167,6 +167,49 @@ class TestChainRegressions:
             assert internal_membership_many(res.internal, pts, eps=1e-6).all()
 
 
+POINT_BOXES = {
+    "point": Box([0.3, 0.3], [0.3, 0.3]),
+    "1e-12 wide": Box([0.3, 0.3], [0.3 + 1e-12, 0.3 + 1e-12]),
+}
+
+
+def _assert_traces_inside(net, box, res, rng, eps):
+    """Corners and samples of ``box`` lie in every stage's bounds within the
+    analysis eps: the generator filter merges points closer than eps, so a
+    set narrower than that is exact only to eps."""
+    xs = np.vstack([box.lo, box.hi, box.sample(rng, 50)])
+    for s, (b, v) in enumerate(zip(res.bounds, net.trace(xs))):
+        tol = eps * (1.0 + np.abs(v))
+        assert (b.lo <= v + tol).all() and (v <= b.hi + tol).all(), s
+
+
+class TestPointBoxes:
+    @pytest.mark.parametrize("box_name", sorted(POINT_BOXES))
+    @pytest.mark.parametrize("name, options", list(settings()), ids=[n for n, _ in settings()])
+    def test_running_net(self, running2_net, box_name, name, options):
+        box = POINT_BOXES[box_name]
+        res = analyze(running2_net, box, options)
+        _assert_traces_inside(running2_net, box, res, np.random.default_rng(0), options.eps)
+        out = res.bounds[-1]
+        assert np.allclose(out.lo, [0.6, 0.0]) and np.allclose(out.hi, [0.6, 0.0])
+
+    @pytest.mark.parametrize("width", [0.0, 1e-12])
+    def test_seeded_nets(self, width):
+        # a point inside battery boxes: nets 0-5 raised in the octagon
+        # domain, net 22 (1e-12 wide) and net 37 (point, track all) in every
+        # mode, from a false EMPTY in closure
+        rng = np.random.default_rng(BATTERY_SEED)
+        for k in range(38):
+            net, box = draw_net(rng)
+            if k > 5 and k not in (22, 37):
+                continue
+            c = box.lo + 0.37 * (box.hi - box.lo)
+            point = Box(c, c + width)
+            for name, options in settings():
+                res = analyze(net, point, options)
+                _assert_traces_inside(net, point, res, np.random.default_rng(k), options.eps)
+
+
 if __name__ == "__main__":
     json.dump(freeze(), sys.stdout, separators=(",", ":"))
     sys.stdout.write("\n")
