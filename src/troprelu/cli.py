@@ -41,31 +41,38 @@ from .speccheck import LinearAssertion, check
 from .subdivision import SubdivisionGrid
 
 
+def _interval(iv):
+    """(lo, hi) of a JSON pair of numbers; anything else raises."""
+    lo, hi = iv
+    return float(lo), float(hi)
+
+
 def load_spec_file(path, n_inputs: int, n_outputs: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    box_rows = doc.get("input_box")
-    if box_rows is None or len(box_rows) != n_inputs:
-        raise TropReluError(f"{path}: input_box must list {n_inputs} intervals")
-    box = Box([r[0] for r in box_rows], [r[1] for r in box_rows])
-    assertions = []
-    for i, row in enumerate(doc.get("assertions", [])):
-        name = row.get("name", f"assertion_{i}")
-        in_c = row.get("in_coeffs", [0.0] * n_inputs)
-        out_c = row.get("out_coeffs", [0.0] * n_outputs)
-        if len(in_c) != n_inputs or len(out_c) != n_outputs:
-            raise TropReluError(f"{path}: coefficient lengths do not match network")
-        restrict = None
-        if row.get("restrict_box") is not None:
-            restrict = tuple(
-                None if iv is None else (float(iv[0]), float(iv[1]))
-                for iv in row["restrict_box"]
-            )
-            if len(restrict) != n_inputs:
-                raise TropReluError(f"{path}: restrict_box must list {n_inputs} entries")
-        assertions.append(
-            LinearAssertion(in_c, out_c, float(row.get("const", 0.0)), restrict, name)
-        )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        box_rows = doc.get("input_box")
+        if box_rows is None or len(box_rows) != n_inputs:
+            raise TropReluError(f"{path}: input_box must list {n_inputs} intervals")
+        box = Box(*zip(*map(_interval, box_rows)))
+        assertions = []
+        for i, row in enumerate(doc.get("assertions", [])):
+            name = row.get("name", f"assertion_{i}")
+            in_c = np.asarray(row.get("in_coeffs", [0.0] * n_inputs), dtype=float)
+            out_c = np.asarray(row.get("out_coeffs", [0.0] * n_outputs), dtype=float)
+            const = float(row.get("const", 0.0))
+            if in_c.shape != (n_inputs,) or out_c.shape != (n_outputs,):
+                raise TropReluError(f"{path}: coefficient lengths do not match network")
+            if not np.isfinite([*in_c, *out_c, const]).all():
+                raise TropReluError(f"{path}: coefficients must be finite")
+            restrict = row.get("restrict_box")
+            if restrict is not None:
+                restrict = tuple(None if iv is None else _interval(iv) for iv in restrict)
+                if len(restrict) != n_inputs:
+                    raise TropReluError(f"{path}: restrict_box must list {n_inputs} entries")
+            assertions.append(LinearAssertion(in_c, out_c, const, restrict, name))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TropReluError(f"{path}: malformed spec ({exc})") from None
     return box, assertions
 
 
@@ -223,6 +230,8 @@ def run_cli(argv=None) -> int:
     args = make_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if not np.isfinite(args.eps) or args.eps < 0:
+            raise TropReluError(f"--eps must be a finite number >= 0, got {args.eps}")
         net = parse_sherlock(args.network, final_relu=not args.no_final_relu)
         in_box, assertions = load_spec_file(args.spec, net.n_inputs, net.n_outputs)
         grid = None

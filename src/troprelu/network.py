@@ -3,7 +3,7 @@
 A network is a chain of affine layers with ReLU after each one (the last
 activation is optional).  Each affine layer is abstracted by its tight zone
 (or octagon) over the box of its inputs; ReLU is tropically affine, so its
-action on a generator list is exact.
+image of a closed zone (a tropical polyhedron) is exact.
 
 One loop serves every mode and domain.  It carries a closed zone over the
 tracked variables: the inputs, the current layer, and with ``track_all``
@@ -11,10 +11,8 @@ every hidden layer.  Per layer it
 
 1. embeds the carried zone next to the layer's pre-activations h;
 2. mins in the layer's tight zone over (current layer, h) and closes;
-3. takes the closed zone's n + 1 generators (a closed zone is exactly their
-   tropical hull) and appends the clamped copies max(0, h), which is the
-   exact ReLU image of the zone;
-4. takes the tightest zone of those generators and keeps the tracked slots.
+3. appends y = max(0, h) (``_relu_append``), each entry of the image's
+   tightest zone a max or min of closed entries, and keeps the tracked slots.
 
 The modes differ only in what the loop carries between layers:
 
@@ -30,13 +28,10 @@ The modes differ only in what the loop carries between layers:
 
 In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
-through closure; after ReLU its difference part is tightened with the
-zone of the clamped generators of the pre-activation plus block, unless
-that zone misses the octagon (generators are merged within eps, so on
-sets narrower than eps it can).
+through closure; ``_oct_relu_append`` writes the same exact entries there.
 
-``AnalysisResult.internal`` holds the clamped generators of the last layer,
-projected onto the tracked slots.
+``AnalysisResult.internal`` is the one generator computation: the last
+layer's pre-activation zone as n + 1 generators, clamped and projected.
 
 With a subdivision grid in cell-wise mode (``AnalysisOptions.subdiv``) the
 loop runs once per grid cell and the cells are joined: the zone, the
@@ -62,7 +57,6 @@ from .dbm import (
     OctDbm,
     dbm_box,
     dbm_close,
-    dbm_intersect,
     embed_dbm,
     embed_oct,
     oct_close,
@@ -95,7 +89,6 @@ from .tropical import (
     emb_external,
     extreme_filter,
     intersect_external,
-    internal_to_zone,
     proj_internal,
     union_internal,
     zone_to_internal,
@@ -225,36 +218,45 @@ def relu_external(
     if any(d < 0 or d >= dim for d in h_dims + y_dims):
         raise BadIndex("ReLU dimension out of range")
     rows_l, rows_r = [], []
-
-    def row():
-        return np.full(1 + dim, BOTTOM), np.full(1 + dim, BOTTOM)
-
     for pair, (h, y) in enumerate(zip(h_dims, y_dims)):
-        h_lo = h_bounds.lo[pair]
-        h_hi = h_bounds.hi[pair]
-        l1, r1 = row()  # max(0, h) <= y
-        l1[0] = 0.0
-        l1[1 + h] = 0.0
-        r1[1 + y] = 0.0
-        l2, r2 = row()  # y <= max(0, h)
-        l2[1 + y] = 0.0
-        r2[0] = 0.0
-        r2[1 + h] = 0.0
-        l3, r3 = row()  # y >= 0
-        l3[0] = 0.0
-        r3[1 + y] = 0.0
-        l4, r4 = row()  # y >= h
-        l4[1 + h] = 0.0
-        r4[1 + y] = 0.0
-        l5, r5 = row()  # y - h <= -min(0, h_lo)
-        l5[1 + y] = 0.0
-        r5[1 + h] = -min(0.0, h_lo)
-        l6, r6 = row()  # y <= max(0, h_hi)
-        l6[1 + y] = 0.0
-        r6[0] = max(0.0, h_hi)
-        rows_l += [l1, l2, l3, l4, l5, l6]
-        rows_r += [r1, r2, r3, r4, r5, r6]
+        hc, yc = 1 + h, 1 + y
+        # each row's (lhs, rhs) terms as {column: coefficient}; column 0 is the constant
+        for lhs, rhs in (
+            ({0: 0.0, hc: 0.0}, {yc: 0.0}),  # max(0, h) <= y
+            ({yc: 0.0}, {0: 0.0, hc: 0.0}),  # y <= max(0, h)
+            ({0: 0.0}, {yc: 0.0}),  # y >= 0
+            ({hc: 0.0}, {yc: 0.0}),  # y >= h
+            ({yc: 0.0}, {hc: -min(0.0, h_bounds.lo[pair])}),  # y - h <= -min(0, h_lo)
+            ({yc: 0.0}, {0: max(0.0, h_bounds.hi[pair])}),  # y <= max(0, h_hi)
+        ):
+            for terms, rows in ((lhs, rows_l), (rhs, rows_r)):
+                row = np.full(1 + dim, BOTTOM)
+                row[list(terms)] = list(terms.values())
+                rows.append(row)
     return TropExternal(np.vstack(rows_l), np.vstack(rows_r))
+
+
+def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
+    """Append y_i = max(0, h_i) to a closed zone M (slot 0 the constant).
+
+    Every new entry is a sup over the zone.  A max's sup is the max of the
+    sups: M[y, v] = max(M[0, v], M[h, v]).  Either half of the zone split at
+    h = 0 adds one zero-weight edge between h and 0, so
+    M[v, y] = min(M[v, 0], M[v, h]), and M[y_i, y_k] is the max of those
+    for v = 0 and v = h_i.  A matrix of sups is closed as it stands.
+    """
+    m = zone.entries
+    n1 = m.shape[0]
+    hs = np.asarray(h_vars, dtype=int) + 1
+    e = np.empty((n1 + len(hs), n1 + len(hs)))
+    e[:n1, :n1] = m
+    e[n1:, :n1] = np.maximum(m[0], m[hs])
+    e[:n1, n1:] = np.minimum(m[:, [0]], m[:, hs])
+    e[n1:, n1:] = np.maximum(
+        np.minimum(0.0, m[0, hs]), np.minimum(m[hs, 0][:, None], m[np.ix_(hs, hs)])
+    )
+    np.fill_diagonal(e, 0.0)
+    return Dbm(e, closed=True)
 
 
 def _oct_relu_append(o: OctDbm, h_vars: list, eps: float):
@@ -452,12 +454,10 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
         sel = kept + ([i + n_new for i in pre] if act else pre)
         if oct_zone is not None:
-            oct_zone, zone, gens, big = _oct_step(oct_zone, cur, layer, act, sel, eps)
+            oct_zone, zone, pre_zone, big = _oct_step(oct_zone, cur, layer, act, sel, eps)
         else:
-            gens = zone_to_internal(_layer_zone(zone, cur, layer, k, eps), eps=eps)
-            if act:
-                gens = relu_extend(gens, pre, eps=eps)
-            big = internal_to_zone(gens)
+            pre_zone = _layer_zone(zone, cur, layer, k, eps)
+            big = _relu_append(pre_zone, pre) if act else pre_zone
             zone = big.slice([i + 1 for i in sel])
         stage_box = dbm_box(zone.slice(range(len(kept) + 1, len(sel) + 1)))
         stage_boxes.append(stage_box)
@@ -476,6 +476,9 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
             )
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
+    gens = zone_to_internal(pre_zone, eps=eps)
+    if act:
+        gens = relu_extend(gens, pre, eps=eps)
     diag = {
         "mode": options.mode.value,
         "domain": options.domain.value,
@@ -525,8 +528,8 @@ def _oct_from_box(box: Box) -> OctDbm:
 def _oct_step(oct_zone, cur, layer, act, sel, eps):
     """One layer of the octagon chain in the doubled space.
 
-    Returns the next octagon, its plus-block zone, the clamped generators of
-    the pre-activation plus block, and the plus-block zone of the whole
+    Returns the next octagon, its plus-block zone, the plus-block zone of
+    the (old, pre) space before ReLU, and the plus-block zone of the whole
     (old, pre[, post]) space.
     """
     n_new = layer.n_outputs
@@ -541,33 +544,14 @@ def _oct_step(oct_zone, cur, layer, act, sel, eps):
     closed = oct_close(OctDbm(entries), eps=eps)
     if closed is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
-    gens = zone_to_internal(_plus_block_dbm(closed, list(range(n_pre))), eps=eps)
+    pre_zone = _plus_block_dbm(closed, list(range(n_pre)))
     if act:
-        pre = list(range(n_old, n_pre))
-        closed = _oct_relu_append(closed, pre, eps)
-        gens = relu_extend(gens, pre, eps=eps)
+        closed = _oct_relu_append(closed, list(range(n_old, n_pre)), eps)
     n_big = closed.dim
     big = _plus_block_dbm(closed, list(range(n_big)))
     idx = np.asarray(sel + [i + n_big for i in sel], dtype=int)
     nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)].copy(), closed=True)
-    npp = len(sel)
-    plus = _plus_block_dbm(nxt_oct, list(range(npp)))
-    plus = dbm_intersect(plus, internal_to_zone(gens).slice([i + 1 for i in sel]), eps=eps)
-    # fold the exact ReLU image's differences back into the octagon.  The
-    # generators are filtered within eps, so on a set narrower than eps
-    # their zone can miss the octagon; the octagon then stands alone.
-    closed_next = nxt_oct
-    if plus is not EMPTY:
-        merged = nxt_oct.entries.copy()
-        merged[:npp, :npp] = np.minimum(merged[:npp, :npp], plus.entries[1:, 1:])
-        merged[npp:, npp:] = np.minimum(merged[npp:, npp:], plus.entries[1:, 1:].T)
-        for i in range(npp):
-            merged[i, i + npp] = min(merged[i, i + npp], 2.0 * plus.entries[i + 1, 0])
-            merged[i + npp, i] = min(merged[i + npp, i], 2.0 * plus.entries[0, i + 1])
-        out = oct_close(OctDbm(merged), eps=eps)
-        if out is not EMPTY:
-            closed_next = out
-    return closed_next, _plus_block_dbm(closed_next, list(range(npp))), gens, big
+    return nxt_oct, _plus_block_dbm(nxt_oct, list(range(len(sel)))), pre_zone, big
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:

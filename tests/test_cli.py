@@ -205,3 +205,66 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "--subdiv expects NAME:COUNT pairs" in err and repr(subdiv) in err
+
+
+MALFORMED_SPECS = {
+    "short input_box row": '{"input_box": [[-1], [-1, 1]]}',
+    "long input_box row": '{"input_box": [[-1, 1, 2], [-1, 1]]}',
+    "input_box not a list": '{"input_box": 3}',
+    "non-numeric bound": '{"input_box": [["a", 1], [-1, 1]]}',
+    "spec not an object": "[[-1, 1], [-1, 1]]",
+    "short restrict_box interval": '{"input_box": [[-1, 1], [-1, 1]],'
+    ' "assertions": [{"out_coeffs": [1, 0], "restrict_box": [[0], null]}]}',
+    "non-numeric coefficient": '{"input_box": [[-1, 1], [-1, 1]],'
+    ' "assertions": [{"out_coeffs": ["one", 0]}]}',
+    "nested coefficients": '{"input_box": [[-1, 1], [-1, 1]],'
+    ' "assertions": [{"out_coeffs": [[1], [0]]}]}',
+    "non-finite coefficient": '{"input_box": [[-1, 1], [-1, 1]],'
+    ' "assertions": [{"out_coeffs": [NaN, 0]}]}',
+    "non-numeric const": '{"input_box": [[-1, 1], [-1, 1]],'
+    ' "assertions": [{"out_coeffs": [1, 0], "const": [1]}]}',
+    "assertion row not an object": '{"input_box": [[-1, 1], [-1, 1]], "assertions": [5]}',
+    "assertions not a list": '{"input_box": [[-1, 1], [-1, 1]], "assertions": 5}',
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_exits_one(self, case, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(MALFORMED_SPECS[case])
+        rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(spec)])
+        assert rc == 1
+        assert str(spec) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan", "-1"])
+    def test_bad_eps_exits_one(self, eps, tmp_path, capsys):
+        # the assertion is false (-y1 + 0.5 < 0 at y1 = 1), so no eps may
+        # turn it into Verified
+        spec = tmp_path / "false.spec"
+        spec.write_text(
+            '{"input_box": [[-1, 1], [-1, 1]],'
+            ' "assertions": [{"name": "f", "out_coeffs": [-1, 0], "const": 0.5}]}'
+        )
+        rc = run_cli(
+            ["--network", str(FIXTURES / "running.nt"), "--spec", str(spec), f"--eps={eps}"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--eps must be a finite number >= 0" in captured.err
+        assert "Verified" not in captured.out
+
+    @pytest.mark.parametrize("eps", ["0", "1e-6"])
+    def test_valid_eps_runs(self, eps, capsys):
+        rc = run_cli(
+            [
+                "--network",
+                str(FIXTURES / "running.nt"),
+                "--spec",
+                str(FIXTURES / "p1.spec"),
+                "--eps",
+                eps,
+            ]
+        )
+        assert rc == 0
+        assert "p1: Verified" in capsys.readouterr().out

@@ -210,6 +210,47 @@ class TestPointBoxes:
                 _assert_traces_inside(net, point, res, np.random.default_rng(k), options.eps)
 
 
+
+def _worst_miss(net, box, res, rng):
+    """Largest relative distance by which a corner or sample trace of
+    ``box`` leaves a stage's bounds (0 when all lie inside)."""
+    xs = np.vstack([box.lo, box.hi, box.sample(rng, 50)])
+    worst = 0.0
+    for b, v in zip(res.bounds, net.trace(xs)):
+        miss = np.maximum(b.lo - v, v - b.hi) / (1.0 + np.abs(v))
+        worst = max(worst, float(miss.max()))
+    return worst
+
+
+class TestNearPointBoxes:
+    """Boxes narrower than eps keep every concrete value: the chain has no
+    eps merge, so the bounds hold to rounding (1e-14), not only to eps."""
+
+    TOL = 1e-14
+
+    @pytest.mark.parametrize("width", [1e-12, 1e-10])
+    def test_battery_nets(self, width):
+        rng = np.random.default_rng(BATTERY_SEED)
+        for k in range(BATTERY_SIZE):
+            net, box = draw_net(rng)
+            c = box.lo + 0.37 * (box.hi - box.lo)
+            near = Box(c, c + width)
+            for name, options in settings():
+                res = analyze(net, near, options)
+                miss = _worst_miss(net, near, res, np.random.default_rng(k))
+                assert miss <= self.TOL, f"net {k}, {name}: trace misses by {miss:.3g}"
+
+    @pytest.mark.parametrize("name, options", list(settings()), ids=[n for n, _ in settings()])
+    def test_running_net(self, running2_net, name, options):
+        box = POINT_BOXES["1e-12 wide"]
+        res = analyze(running2_net, box, options)
+        assert _worst_miss(running2_net, box, res, np.random.default_rng(0)) <= self.TOL
+        # the eps merge of the generator route put this bound at
+        # 1.6000000000000003, below the value at the upper corner
+        top = running2_net.trace(box.hi[None, :])[1].max()
+        assert top == pytest.approx(1.6000000000019998, abs=1e-15)
+        assert res.bounds[1].hi.max() >= top
+
 if __name__ == "__main__":
     json.dump(freeze(), sys.stdout, separators=(",", ":"))
     sys.stdout.write("\n")
