@@ -204,8 +204,16 @@ def build_report(net_path, spec_path, args, result: AnalysisResult, verdicts, se
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do: 2 means an assertion is Unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="troprelu",
         description="Sound range analysis of ReLU networks with tropical polyhedra and zones.",
     )

@@ -32,10 +32,13 @@ through closure; ``_oct_relu_append`` writes the same exact entries there.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 generators, clamped and projected.
+The analysis keeps that zone and builds the generators on first access,
+so a run whose result is only checked never builds them.
 
 With a subdivision grid in cell-wise mode (``AnalysisOptions.subdiv``) the
 loop runs once per grid cell and the cells are joined: the zone, the
-generators and every stage's bounds cover the union of the cells, and
+generators (the union of the cells' generators, also built on first
+access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
 decides assertions cell by cell without analysing again.
 """
@@ -45,6 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -333,16 +337,33 @@ class AnalysisOptions:
 
 @dataclass
 class AnalysisResult:
-    """Everything the checkers and the CLI need from one analysis run."""
+    """Everything the checkers and the CLI need from one analysis run.
+
+    ``internal`` (the generators over the tracked dimensions) is built on
+    first access from the pre-activation zones kept in ``_gen_parts`` and
+    then kept; nothing in ``analyze`` or ``speccheck.check`` reads it.
+    """
 
     var_map: list  # (stage, neuron) per tracked dimension
-    internal: TropInternal
     zone: Dbm  # enclosing zone over the tracked dimensions
     bounds: list  # one Box per value stage (inputs first)
     n_inputs: int
     n_outputs: int
     diagnostics: dict = field(default_factory=dict)
     cells: list = field(default_factory=list)  # (cell Box, closed cell Dbm) per grid cell
+    # (closed pre-activation zone, ReLU slots, kept slots) per analysed box
+    _gen_parts: list = field(default_factory=list, repr=False, compare=False)
+    _eps: float = field(default=DEFAULT_EPS, repr=False, compare=False)
+
+    @cached_property
+    def internal(self) -> TropInternal:
+        """Hull of the tracked dimensions: each part's generators, joined in
+        cell order by ``union_internal``."""
+        parts = (_generators(*part, self._eps) for part in self._gen_parts)
+        internal = next(parts)
+        for more in parts:
+            internal = union_internal(internal, more, eps=self._eps)
+        return internal
 
     @property
     def input_slots(self) -> list:
@@ -375,9 +396,11 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
     """Analyse every cell of ``options.subdiv`` once and join the cells.
 
     The zone is the entrywise max of the closed cell zones (a join of closed
-    DBMs is closed), ``internal`` the union of the cell generators and each
-    stage's bounds the hull of the cells' stage boxes.  ``cells`` keeps each
-    cell's box and zone for the per-cell checks of ``speccheck.check``.
+    DBMs is closed) and each stage's bounds the hull of the cells' stage
+    boxes.  ``cells`` keeps each cell's box and zone for the per-cell checks
+    of ``speccheck.check``.  Each cell's pre-activation zone is kept too:
+    the cell's generators are tighter than its zone, so ``internal`` is
+    their union, built when first read.
     """
     grid = options.subdiv
     if grid.n_cells > options.subdiv_cfg.cell_budget:
@@ -387,12 +410,13 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
     cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
     cells = []
+    gen_parts = []
     for cell in grid.cells():
         res, _ = _analyze_single(net, cell, cell_opts)
+        gen_parts += res._gen_parts
         if not cells:
-            internal, zentries, bounds = res.internal, res.zone.entries.copy(), res.bounds
+            zentries, bounds = res.zone.entries.copy(), res.bounds
         else:
-            internal = union_internal(internal, res.internal, eps=options.eps)
             np.maximum(zentries, res.zone.entries, out=zentries)
             bounds = [
                 Box(np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi))
@@ -401,7 +425,6 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
         cells.append((cell, res.zone))
     return AnalysisResult(
         var_map=res.var_map,
-        internal=internal,
         zone=Dbm(zentries, closed=True),
         bounds=bounds,
         n_inputs=net.n_inputs,
@@ -413,6 +436,8 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
             "seconds": time.perf_counter() - t0,
         },
         cells=cells,
+        _gen_parts=gen_parts,
+        _eps=options.eps,
     )
 
 
@@ -476,9 +501,6 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
             )
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
-    gens = zone_to_internal(pre_zone, eps=eps)
-    if act:
-        gens = relu_extend(gens, pre, eps=eps)
     diag = {
         "mode": options.mode.value,
         "domain": options.domain.value,
@@ -488,13 +510,23 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     }
     return AnalysisResult(
         var_map=var_map,
-        internal=proj_internal(gens, sel, eps=eps),
         zone=zone,
         bounds=stage_boxes,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
         diagnostics=diag,
+        _gen_parts=[(pre_zone, pre if act else [], sel)],
+        _eps=eps,
     ), layers
+
+
+def _generators(pre_zone: Dbm, relu_vars: list, sel: list, eps: float) -> TropInternal:
+    """The closed pre-activation zone as n + 1 generators, with clamped
+    copies of ``relu_vars`` appended, projected onto ``sel``."""
+    gens = zone_to_internal(pre_zone, eps=eps)
+    if relu_vars:
+        gens = relu_extend(gens, relu_vars, eps=eps)
+    return proj_internal(gens, sel, eps=eps)
 
 
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:

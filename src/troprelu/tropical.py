@@ -155,12 +155,36 @@ def internal_membership(
         raise EmptyGenerators("membership test needs at least one generator")
     if p.shape != (poly.dim,):
         raise DimensionMismatch("point dimension does not match polyhedron")
-    raw = (p[None, :] - poly.generators).min(axis=1)
-    if raw.max() < -eps:
-        return False
+    g = poly.generators
+    return bool(_combines(p[None], g, _residuals(p[None], g), eps)[0])
+
+
+def _block_rows(per_row: int) -> int:
+    """Rows per block so that a (rows, ...) temporary holds at most 2^16
+    floats, which stays in cache."""
+    return max(1, (1 << 16) // max(per_row, 1))
+
+
+def _residuals(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """raw[i, j] = min_k (points[i, k] - gens[j, k]), in row blocks."""
+    raw = np.empty((points.shape[0], gens.shape[0]))
+    step = _block_rows(gens.size)
+    for start in range(0, points.shape[0], step):
+        raw[start : start + step] = (points[start : start + step, None, :] - gens[None]).min(axis=2)
+    return raw
+
+
+def _combines(points: np.ndarray, gens: np.ndarray, raw: np.ndarray, eps: float) -> np.ndarray:
+    """The test of ``internal_membership`` for every point row at once, from
+    ``raw = _residuals(points, gens)``; a -inf residual leaves that
+    generator out of that point's hull."""
+    out = raw.max(axis=1) >= -eps
     lam = np.minimum(0.0, raw)
-    recon = (poly.generators + lam[:, None]).max(axis=0)
-    return bool(np.abs(recon - p).max() <= eps)
+    step = _block_rows(gens.size)
+    for start in range(0, points.shape[0], step):
+        recon = (gens[None] + lam[start : start + step, :, None]).max(axis=1)
+        out[start : start + step] &= np.abs(recon - points[start : start + step]).max(axis=1) <= eps
+    return out
 
 
 def internal_membership_many(
@@ -176,18 +200,7 @@ def internal_membership_many(
         raise EmptyGenerators("membership test needs at least one generator")
     if pts.shape[1] != poly.dim:
         raise DimensionMismatch("point dimension does not match polyhedron")
-    g = poly.generators
-    per_point = max(g.shape[0] * g.shape[1], 1)
-    block = max(1, min(pts.shape[0], 4_000_000 // per_point))
-    out = np.empty(pts.shape[0], dtype=bool)
-    for start in range(0, pts.shape[0], block):
-        p = pts[start : start + block]
-        raw = (p[:, None, :] - g[None, :, :]).min(axis=2)
-        lam = np.minimum(0.0, raw)
-        recon = (g[None, :, :] + lam[:, :, None]).max(axis=1)
-        ok = np.abs(recon - p).max(axis=1) <= eps
-        out[start : start + block] = ok & (raw.max(axis=1) >= -eps)
-    return out
+    return _combines(pts, poly.generators, _residuals(pts, poly.generators), eps)
 
 
 def zone_to_internal(zone: Dbm, eps: float = DEFAULT_EPS) -> TropInternal:
@@ -219,9 +232,7 @@ def internal_to_zone(poly: TropInternal) -> Dbm:
         raise EmptyGenerators("internal_to_zone needs at least one generator")
     cols = np.vstack([poly.generators.T, np.zeros((1, poly.n_generators))])
     n1 = cols.shape[0]
-    quot = np.empty((n1, n1))
-    for i in range(n1):
-        quot[i] = (cols[i][None, :] - cols).min(axis=1)
+    quot = _residuals(cols, cols)
     # x_i - x_j >= quot[i, j]  <=>  DBM bound on x_j - x_i is -quot[i, j];
     # the homogenization row n1-1 plays the constant slot 0.
     order = np.concatenate([[n1 - 1], np.arange(n1 - 1)])
@@ -229,40 +240,53 @@ def internal_to_zone(poly: TropInternal) -> Dbm:
     return Dbm(-sub.T, closed=True)
 
 
+def _distinct(raw: np.ndarray, eps: float) -> list:
+    """Row indices without near-duplicates (max-abs within eps), first
+    occurrence kept, in order, from ``raw = _residuals(g, g)``: rows i and
+    j differ by max(-raw[i, j], -raw[j, i]) in max-abs."""
+    near = np.minimum(raw, raw.T) >= -eps
+    keep = [0]
+    for i in range(1, raw.shape[0]):
+        if not near[i, keep].any():
+            keep.append(i)
+    return keep
+
+
 def _first_distinct(g: np.ndarray, eps: float) -> list:
     """Row indices of g without near-duplicates (max-abs within eps), first
     occurrence kept, in order."""
-    keep = [0]
-    for i in range(1, g.shape[0]):
-        if (np.abs(g[keep] - g[i]).max(axis=1) > eps).all():
-            keep.append(i)
-    return keep
+    return _distinct(_residuals(g, g), eps)
 
 
 def extreme_filter(poly: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal:
     """Minimal generating set: drop generators the others already combine to.
 
-    Duplicates (within eps) keep the first occurrence.  The minimal set of
-    a tropical polytope is unique, so the scan order does not affect the
-    resulting set beyond duplicate tie-breaking.
+    Duplicates (within eps) keep the first occurrence.  Every remaining
+    generator is then tested against all the others at once: a generator
+    that is not extreme lies in the hull of the extreme ones, which no test
+    removes, so the redundant ones can all go together.  Tolerance can make
+    two generators each combine from a set holding the other; when some
+    dropped generator does not combine from the kept ones, the dropped ones
+    are tested again one at a time, last first, against the generators
+    still kept, which keeps one of such a pair.
     """
     g = poly.generators
     if g.shape[0] <= 1:
         return poly
-    g = g[_first_distinct(g, eps)]
-    alive = list(range(g.shape[0]))
-    for i in range(g.shape[0] - 1, -1, -1):
-        if len(alive) == 1:
-            break
-        others = [k for k in alive if k != i]
-        rest = g[others]
-        raw = (g[i][None, :] - rest).min(axis=1)
-        if raw.max() < -eps:
-            continue
-        lam = np.minimum(0.0, raw)
-        recon = (rest + lam[:, None]).max(axis=0)
-        if np.abs(recon - g[i]).max() <= eps:
-            alive = others
+    raw = _residuals(g, g)
+    keep = _distinct(raw, eps)
+    g, raw = g[keep], raw[np.ix_(keep, keep)]
+    np.fill_diagonal(raw, -np.inf)
+    drop = _combines(g, g, raw, eps)
+    alive = ~drop
+    if drop.any() and not (
+        alive.any() and _combines(g[drop], g[alive], raw[np.ix_(drop, alive)], eps).all()
+    ):
+        alive[:] = True
+        for i in np.flatnonzero(drop)[::-1]:
+            alive[i] = False
+            if not (alive.any() and _combines(g[[i]], g[alive], raw[np.ix_([i], alive)], eps)[0]):
+                alive[i] = True
     return TropInternal(g[alive])
 
 

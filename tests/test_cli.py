@@ -268,3 +268,29 @@ class TestBadInput:
         )
         assert rc == 0
         assert "p1: Verified" in capsys.readouterr().out
+
+
+USAGE_ERRORS = {
+    "non-numeric eps": ["--spec", str(FIXTURES / "p1.spec"), "--eps", "abc"],
+    "eps read as an option": ["--spec", str(FIXTURES / "p1.spec"), "--eps", "-inf"],
+    "missing spec": [],
+    "unknown mode": ["--spec", str(FIXTURES / "p1.spec"), "--mode", "bogus"],
+}
+
+
+class TestUsageErrors:
+    """Usage errors exit 1; exit code 2 is kept for an Unknown assertion."""
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exits_one(self, case, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--network", str(FIXTURES / "running.nt"), *USAGE_ERRORS[case]])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: troprelu") and "troprelu: error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0
+        assert "--network" in capsys.readouterr().out

@@ -210,6 +210,55 @@ class TestPointBoxes:
                 _assert_traces_inside(net, point, res, np.random.default_rng(k), options.eps)
 
 
+def _width_one_nets():
+    """The first four seed-3 nets of 2-3 layers, 2-4 inputs and layer widths
+    1-4, with a hidden layer of width 1, drawn in ``draw_net``'s order."""
+    rng = np.random.default_rng(3)
+    out = []
+    while len(out) < 4:
+        n_layers = int(rng.integers(2, 4))
+        sizes = [int(rng.integers(2, 5))] + [int(rng.integers(1, 5)) for _ in range(n_layers)]
+        pairs = list(zip(sizes, sizes[1:]))
+        weights = [rng.standard_normal((n_out, n_in)) for n_in, n_out in pairs]
+        biases = [0.5 * rng.standard_normal(n_out) for _, n_out in pairs]
+        final_relu = bool(rng.integers(0, 2))
+        centre = rng.uniform(-1, 1, sizes[0])
+        radius = rng.uniform(0.05, 1, sizes[0])
+        if 1 in sizes[1:-1]:
+            net = Network(tuple(weights), tuple(biases), final_relu=final_relu)
+            out.append((net, Box(centre - radius, centre + radius)))
+    return out
+
+
+def _degenerate_nets():
+    """Each width-1 net as drawn, with its first layer's weights zeroed, and
+    with its first layer dead: biases below -|W| |x|, so every
+    pre-activation is negative on the box."""
+    out = {}
+    for k, (net, box) in enumerate(_width_one_nets()):
+        w, b = list(net.weights), list(net.biases)
+        out[f"width 1 #{k}"] = (net, box)
+        zero = [np.zeros_like(w[0]), *w[1:]]
+        out[f"zero weights #{k}"] = (Network(tuple(zero), tuple(b), net.final_relu), box)
+        reach = np.abs(w[0]) @ np.maximum(np.abs(box.lo), np.abs(box.hi))
+        dead = [-reach - 0.5, *b[1:]]
+        out[f"dead layer #{k}"] = (Network(tuple(w), tuple(dead), net.final_relu), box)
+    return out
+
+
+class TestDegenerateNets:
+    @pytest.mark.parametrize("name, options", list(settings()), ids=[n for n, _ in settings()])
+    def test_traces_inside_every_stage(self, name, options):
+        for k, (label, (net, box)) in enumerate(sorted(_degenerate_nets().items())):
+            res = analyze(net, box, options)
+            _assert_traces_inside(net, box, res, np.random.default_rng(k), options.eps)
+
+    def test_dead_layer_is_exact(self):
+        for label, (net, box) in _degenerate_nets().items():
+            if label.startswith("dead"):
+                res = analyze(net, box)
+                assert (res.bounds[1].lo == 0).all() and (res.bounds[1].hi == 0).all(), label
+
 
 def _worst_miss(net, box, res, rng):
     """Largest relative distance by which a corner or sample trace of
