@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .dbm import Box
-from .errors import BadIndex, TropReluError
+from .errors import BadIndex, InvalidInterval, TropReluError
 from .maxplus import DEFAULT_EPS
 from .network import (
     AbsDomain,
@@ -71,7 +71,7 @@ def load_spec_file(path, n_inputs: int, n_outputs: int):
                 if len(restrict) != n_inputs:
                     raise TropReluError(f"{path}: restrict_box must list {n_inputs} entries")
             assertions.append(LinearAssertion(in_c, out_c, const, restrict, name))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, InvalidInterval) as exc:
         raise TropReluError(f"{path}: malformed spec ({exc})") from None
     return box, assertions
 

@@ -67,6 +67,10 @@ class VariableMismatch(TropReluError):
     """An assertion's variables do not match the analysis result."""
 
 
+class InvalidObjective(TropReluError):
+    """A linear objective has a NaN or infinite coefficient."""
+
+
 class MalformedFile(TropReluError):
     """A network file does not follow the expected format."""
 

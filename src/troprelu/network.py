@@ -93,8 +93,6 @@ from .tropical import (
     emb_external,
     extreme_filter,
     intersect_external,
-    proj_internal,
-    union_internal,
     zone_to_internal,
 )
 
@@ -357,13 +355,14 @@ class AnalysisResult:
 
     @cached_property
     def internal(self) -> TropInternal:
-        """Hull of the tracked dimensions: each part's generators, joined in
-        cell order by ``union_internal``."""
-        parts = (_generators(*part, self._eps) for part in self._gen_parts)
-        internal = next(parts)
-        for more in parts:
-            internal = union_internal(internal, more, eps=self._eps)
-        return internal
+        """Hull of the tracked dimensions: each part's n + 1 zone generators,
+        with clamped copies of its ReLU slots appended, projected onto its
+        kept slots and stacked in cell order, through one ``extreme_filter``."""
+        points = []
+        for pre_zone, relu_vars, sel in self._gen_parts:
+            g = zone_to_internal(pre_zone, eps=self._eps).generators
+            points.append(np.hstack([g, np.maximum(g[:, relu_vars], 0.0)])[:, sel])
+        return extreme_filter(TropInternal(np.vstack(points)), eps=self._eps)
 
     @property
     def input_slots(self) -> list:
@@ -379,10 +378,7 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
     """Propagate the input box through the network (see module docstring)."""
     if in_box.dim != net.n_inputs:
         raise DimensionMismatch("input box does not match network inputs")
-    if options.subdiv is not None and options.subdiv_cfg.mode in (
-        SubdivisionMode.CELLWISE_UNION,
-        SubdivisionMode.BOTH,
-    ):
+    if options.subdiv is not None and options.subdiv_cfg.mode is SubdivisionMode.CELLWISE_UNION:
         return _analyze_cellwise_union(net, options)
     res, layers = _analyze_single(net, in_box, options)
     if options.mode is ChainMode.EXTERNAL:
@@ -470,7 +466,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
                 zone = dbm_box(zone).to_dbm()
             cur_box = dbm_box(zone.slice([i + 1 for i in cur]))
         layer = AffineLayer(net.weights[li], net.biases[li], cur_box)
-        k = zone_constants(layer)
+        k_oct = oct_constants(layer) if oct_zone is not None else None
+        k = zone_constants(layer) if k_oct is None else k_oct.zone
         layers.append((layer, k))
         n_new = layer.n_outputs
         pre = list(range(n_old, n_old + n_new))
@@ -479,7 +476,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
         sel = kept + ([i + n_new for i in pre] if act else pre)
         if oct_zone is not None:
-            oct_zone, zone, pre_zone, big = _oct_step(oct_zone, cur, layer, act, sel, eps)
+            oct_zone, zone, pre_zone, big = _oct_step(oct_zone, cur, layer, k_oct, act, sel, eps)
         else:
             pre_zone = _layer_zone(zone, cur, layer, k, eps)
             big = _relu_append(pre_zone, pre) if act else pre_zone
@@ -520,15 +517,6 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     ), layers
 
 
-def _generators(pre_zone: Dbm, relu_vars: list, sel: list, eps: float) -> TropInternal:
-    """The closed pre-activation zone as n + 1 generators, with clamped
-    copies of ``relu_vars`` appended, projected onto ``sel``."""
-    gens = zone_to_internal(pre_zone, eps=eps)
-    if relu_vars:
-        gens = relu_extend(gens, relu_vars, eps=eps)
-    return proj_internal(gens, sel, eps=eps)
-
-
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
     """Closed zone over (carried, h): the carried zone met with the layer's
     tight zone over (current layer, h)."""
@@ -557,8 +545,9 @@ def _oct_from_box(box: Box) -> OctDbm:
     return out
 
 
-def _oct_step(oct_zone, cur, layer, act, sel, eps):
-    """One layer of the octagon chain in the doubled space.
+def _oct_step(oct_zone, cur, layer, k_oct, act, sel, eps):
+    """One layer of the octagon chain in the doubled space, with the
+    layer's octagon constants ``k_oct``.
 
     Returns the next octagon, its plus-block zone, the plus-block zone of
     the (old, pre) space before ReLU, and the plus-block zone of the whole
@@ -572,7 +561,7 @@ def _oct_step(oct_zone, cur, layer, act, sel, eps):
     l_slots = np.asarray(l_vars + [v + n_pre for v in l_vars], dtype=int)
     sub = entries[np.ix_(l_slots, l_slots)]
     # the meet with the layer's raw octagon closes to the meet with its closure
-    entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, _oct_entries(oct_constants(layer), layer))
+    entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, _oct_entries(k_oct, layer))
     closed = oct_close(OctDbm(entries), eps=eps)
     if closed is EMPTY:
         raise EmptyAbstraction("octagon chain produced an empty octagon")

@@ -1,8 +1,10 @@
 """Verdicts for linear assertions over a computed abstraction.
 
 An assertion  h(x, y) = in_coeffs.x + out_coeffs.y + const >= 0  is
-checked by minimising h over the enclosing zone of the abstraction (a
-linear program over the difference constraints).  A nonnegative minimum
+checked by minimising h over the enclosing zone of the abstraction: a
+linear program over the difference constraints, solved exactly on the
+closed sub-DBM of h's variables as its dual transportation problem
+(``simplex.minimize_over_dbm``).  A nonnegative minimum
 proves the assertion for every concrete execution; a negative minimum
 proves nothing, because the zone over-approximates, so the verdict is
 Unknown rather than Violated.
@@ -22,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dbm import Box, Dbm, EMPTY, dbm_intersect, embed_dbm
-from .errors import EmptyFeasibleSet, VariableMismatch
+from .dbm import Box, Dbm, EMPTY, dbm_close, embed_dbm
+from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
-from .simplex import minimize_over_halfspaces
+from .simplex import minimize_over_dbm
 from .subdivision import SubdivisionGrid, SubdivisionMode
 
 
@@ -40,7 +42,9 @@ class LinearAssertion:
     """in_coeffs.x + out_coeffs.y + const >= 0, optionally on a sub-box.
 
     ``restrict`` narrows the input quantifier domain; ``None`` entries
-    leave that input unrestricted.
+    leave that input unrestricted.  An interval with lo > hi or a NaN
+    endpoint raises InvalidInterval; one disjoint from the input box makes
+    the assertion vacuous.
     """
 
     in_coeffs: np.ndarray
@@ -52,6 +56,9 @@ class LinearAssertion:
     def __post_init__(self):
         object.__setattr__(self, "in_coeffs", np.asarray(self.in_coeffs, dtype=float))
         object.__setattr__(self, "out_coeffs", np.asarray(self.out_coeffs, dtype=float))
+        for j, iv in enumerate(self.restrict or ()):
+            if iv is not None and not iv[0] <= iv[1]:
+                raise InvalidInterval(f"restriction of input {j + 1} is [{iv[0]}, {iv[1]}]")
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -97,42 +104,31 @@ def min_over_zone(
 
     ``box_restriction`` tightens the listed slots (default: the leading
     ones) before minimising; the intersection is closed first, so the
-    restriction propagates into every difference bound.  Returns -inf when
-    the program is unbounded; raises EmptyFeasibleSet when the restriction
-    empties the zone.
+    restriction propagates into every difference bound (a zone not marked
+    closed is closed too).  Returns -inf when the program is unbounded;
+    raises EmptyFeasibleSet when the restriction empties the zone.
     """
     objective = np.asarray(objective, dtype=float)
     if objective.shape != (zone.dim,):
         raise VariableMismatch("objective length does not match zone dimension")
+    if not np.isfinite(objective).all():
+        raise InvalidObjective("objective coefficients must be finite")
     work = zone
     if box_restriction is not None:
-        slots = restrict_slots if restrict_slots is not None else list(
-            range(1, box_restriction.dim + 1)
-        )
+        slots = list(range(1, box_restriction.dim + 1)) if restrict_slots is None else restrict_slots
         restr = embed_dbm(box_restriction.to_dbm(), slots, zone.dim)
-        work = dbm_intersect(work, restr, eps=eps)
+        work = Dbm(np.minimum(zone.entries, restr.entries))
+    if not work.closed:
+        work = dbm_close(work, eps=eps)
         if work is EMPTY:
-            raise EmptyFeasibleSet("restriction does not meet the zone")
+            raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
     support = np.flatnonzero(objective)
     if support.size == 0:
         return float(constant)
     # projection of a closed zone onto the support is the sub-DBM
     sub = work.slice([int(s) + 1 for s in support])
-    rows, bnds = _halfspaces_of(sub.entries)
-    val = minimize_over_halfspaces(objective[support], rows, bnds, eps=eps)
+    val = minimize_over_dbm(objective[support], sub.entries)
     return val + constant if np.isfinite(val) else val
-
-
-def _halfspaces_of(entries: np.ndarray):
-    """Rows r.v <= b, one per finite off-diagonal entry x_i - x_j <= e_ij,
-    in row-major (i, j) order; slot 0 is the constant and drops out."""
-    finite = np.isfinite(entries)
-    np.fill_diagonal(finite, False)
-    i, j = np.nonzero(finite)
-    rows = np.zeros((i.size, entries.shape[0]))
-    rows[np.arange(i.size), i] = 1.0
-    rows[np.arange(i.size), j] = -1.0
-    return rows[:, 1:], entries[i, j]
 
 
 def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:

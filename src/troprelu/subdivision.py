@@ -23,26 +23,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dbm import Box
 from .errors import CellBudgetExceeded, InvalidDomain
 from .maxplus import BOTTOM, DEFAULT_EPS
-from .tropical import (
-    TropExternal,
-    TropInternal,
-    extreme_filter,
-    union_internal,
-)
+from .tropical import TropExternal, TropInternal, extreme_filter
 from .layers import AffineLayer, zone_constants, zone_external, zone_internal
 
 
 class SubdivisionMode(Enum):
     CELLWISE_UNION = "cellwise-union"
     EXTRA_CONSTRAINTS = "extra-constraints"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,6 @@ class SubdivisionGrid:
 
 @dataclass(frozen=True)
 class SubdivisionConfig:
-    n_cells: int = 2
     mode: SubdivisionMode = SubdivisionMode.CELLWISE_UNION
     max_group: int = 2  # largest output subset used for group rows
     cell_budget: int = 1024
@@ -322,13 +315,9 @@ def analyze_cellwise(
         raise CellBudgetExceeded(
             f"{grid.n_cells} cells exceed the budget of {cell_budget}"
         )
-    out: Optional[TropInternal] = None
-    m = layer.n_inputs
+    pieces = []
     for cell in grid.cells():
         sub = AffineLayer(layer.weights, layer.bias, cell)
-        piece = zone_internal(zone_constants(sub), sub, eps=eps)
-        if apply_relu:
-            g = piece.generators
-            piece = TropInternal(np.hstack([g, np.maximum(g[:, m:], 0.0)]))
-        out = piece if out is None else union_internal(out, piece, eps=eps)
-    return extreme_filter(out, eps=eps)
+        g = zone_internal(zone_constants(sub), sub, eps=eps).generators
+        pieces.append(np.hstack([g, np.maximum(g[:, layer.n_inputs :], 0.0)]) if apply_relu else g)
+    return extreme_filter(TropInternal(np.vstack(pieces)), eps=eps)

@@ -28,7 +28,6 @@ from troprelu import (
 )
 from troprelu.cli import run_cli
 from troprelu.dbm import EMPTY
-from troprelu.speccheck import _halfspaces_of
 
 from conftest import FIXTURES
 
@@ -146,31 +145,3 @@ class TestCliCellBudget:
         assert rc == 1
         assert "1056 cells exceed the budget of 1024" in capsys.readouterr().err
 
-
-def halfspaces_loop(entries):
-    """The row-by-row construction the vectorised one replaced."""
-    size = entries.shape[0]
-    rows, bnds = [], []
-    for i in range(size):
-        for j in range(size):
-            if i == j or not np.isfinite(entries[i, j]):
-                continue
-            r = np.zeros(size - 1)
-            if i > 0:
-                r[i - 1] = 1.0
-            if j > 0:
-                r[j - 1] = -1.0
-            rows.append(r)
-            bnds.append(entries[i, j])
-    return np.asarray(rows), np.asarray(bnds)
-
-
-def test_halfspaces_match_loop():
-    rng = np.random.default_rng(33)
-    for size in (2, 3, 5, 8):
-        e = rng.uniform(-2, 2, (size, size))
-        e[rng.random((size, size)) < 0.3] = np.inf
-        np.fill_diagonal(e, 0.0)
-        rows, bnds = _halfspaces_of(e)
-        want_rows, want_bnds = halfspaces_loop(e)
-        assert np.array_equal(rows, want_rows) and np.array_equal(bnds, want_bnds)

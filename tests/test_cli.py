@@ -294,3 +294,32 @@ class TestUsageErrors:
             run_cli(["--help"])
         assert exc.value.code == 0
         assert "--network" in capsys.readouterr().out
+
+
+class TestBadRestriction:
+    """An inverted or NaN restrict_box interval is an input error, not an
+    empty or missing restriction: the false assertion y1 - 100 >= 0 must
+    never come out Verified."""
+
+    @pytest.mark.parametrize("interval", ["[0.5, 0.2]", "[NaN, NaN]", "[NaN, 0.5]", "[-0.5, NaN]"])
+    def test_exits_one(self, interval, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(
+            '{"input_box": [[-1, 1], [-1, 1]], "assertions": [{"name": "f",'
+            f' "out_coeffs": [1, 0], "const": -100, "restrict_box": [{interval}, null]}}]}}'
+        )
+        rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(spec)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert str(spec) in captured.err and "restriction of input 1" in captured.err
+        assert "Verified" not in captured.out
+
+    def test_disjoint_restriction_stays_vacuous(self, tmp_path, capsys):
+        spec = tmp_path / "vacuous.spec"
+        spec.write_text(
+            '{"input_box": [[-1, 1], [-1, 1]], "assertions": [{"name": "f",'
+            ' "out_coeffs": [1, 0], "const": -100, "restrict_box": [[5, 6], null]}]}'
+        )
+        rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(spec)])
+        assert rc == 0
+        assert "f: Verified" in capsys.readouterr().out

@@ -18,8 +18,7 @@ from troprelu import (
     internal_to_zone,
     min_over_zone,
 )
-from troprelu.errors import EmptyFeasibleSet, VariableMismatch
-from troprelu.simplex import minimize_over_halfspaces
+from troprelu.errors import EmptyFeasibleSet, InvalidInterval, VariableMismatch
 
 INF = float("inf")
 
@@ -96,24 +95,6 @@ class TestMinOverZone:
             obj = rng.normal(size=n)
             lp = min_over_zone(zone, None, obj)
             assert abs(lp - vertex_minimum(zone, obj)) < 1e-7
-
-
-class TestSimplexCore:
-    def test_box_lp(self):
-        rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        bnds = np.array([2.0, 1.0, 3.0, 0.0])
-        val = minimize_over_halfspaces(np.array([1.0, -1.0]), rows, bnds)
-        assert val == -4.0  # x = -1, y = 3
-
-    def test_degenerate_constraints(self):
-        rows = np.array([[1.0], [1.0], [-1.0]])
-        bnds = np.array([1.0, 1.0, 0.0])
-        assert minimize_over_halfspaces(np.array([1.0]), rows, bnds) == 0.0
-
-    def test_unbounded(self):
-        rows = np.array([[1.0]])
-        bnds = np.array([1.0])
-        assert minimize_over_halfspaces(np.array([1.0]), rows, bnds) == -INF
 
 
 class TestCheck:
@@ -195,3 +176,19 @@ class TestSoundnessOfVerified:
             ys = net.forward(xs)
             assert (shifted.value(xs, ys) >= -1e-6).all()
             checked += 1
+
+
+class TestRestrictionIntervals:
+    @pytest.mark.parametrize(
+        "interval", [(0.5, 0.2), (np.nan, np.nan), (np.nan, 0.5), (-0.5, np.nan)]
+    )
+    def test_inverted_or_nan_interval_raises(self, interval):
+        with pytest.raises(InvalidInterval):
+            LinearAssertion([0, 0], [1, 0], -100.0, (None, interval))
+
+    def test_point_interval_is_accepted(self, running_net, unit_box2):
+        a = LinearAssertion([0, 0], [-1, 0], 0.5, ((0.5, 0.5), None))
+        v = check(a, analyze(running_net, unit_box2))
+        # y1 = max(0, x1 - x2 - 1) reaches 0.5 at x = (0.5, -1): the true
+        # minimum is 0, and the zone's may only lie below it
+        assert np.isfinite(v.minimum) and v.minimum <= 1e-9
