@@ -14,6 +14,12 @@ finite constraint is saturated by some point of the zone.  Emptiness shows
 up as a negative diagonal entry during closure and is returned as the
 ``EMPTY`` value, never raised.
 
+The meet of two closed matrices that share only a few slots (a carried
+zone and one layer's zone, which share the constant slot and the layer's
+inputs) is closed by ``_interface_close``: min-plus products through the
+shared slots, no Floyd-Warshall pass.  ``dbm_close`` and ``oct_close``
+close everything else.
+
 Octagons add constraints on sums x_i + x_j.  They are encoded as a DBM
 over 2n doubled variables (+x_1..+x_n, -x_1..-x_n) with *no* constant
 slot: a unary bound x_i <= b is written as (+x_i) - (-x_i) <= 2b.  The
@@ -389,21 +395,78 @@ def oct_close(
         var = np.asarray(changed, dtype=int)
         pivots = np.sort(np.concatenate([var, var + n]))
     m = _shortest_paths(o.entries, eps, pivots, n_oct=n)
-    if m is None:
-        return EMPTY
+    if m is not None:
+        m = _strengthen(m, n, eps)
+    return EMPTY if m is None else OctDbm(m, closed=True)
+
+
+def _strengthen(m: np.ndarray, n: int, eps: float) -> Optional[np.ndarray]:
+    """The tail of ``oct_close``: half-sum strengthening and coherence of a
+    shortest-path closed doubled matrix over n variables, in place where it
+    can; None if a diagonal entry then falls below -eps."""
     perm = _mirror(n)
     unary = m[np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
     np.minimum(m, (unary[:, None] + unary[perm][None, :]) / 2.0, out=m)
     m = _coherence_min(m, n)
     if (np.diagonal(m) < -eps).any():
-        return EMPTY
+        return None
     # bounds of a flat direction (a point box, a dead unit) can cross by
     # rounding, m[p, q] + m[q, p] < 0 within eps; the next pass would
     # double that negative cycle at every pivot, so widen such a pair to
     # the interval between its two bounds, as ``_bounds_box`` does
     np.maximum(m, -m.T, out=m)
     np.fill_diagonal(m, 0.0)
-    return OctDbm(m, closed=True)
+    return m
+
+
+def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Min-plus product out[i, j] = min_k (p[i, k] + q[k, j]), +inf when k
+    is empty, in row blocks whose (rows, k, j) temporary holds at most 2^18
+    floats."""
+    out = np.empty((p.shape[0], q.shape[1]))
+    step = max(1, (1 << 18) // max(q.size, 1))
+    for start in range(0, p.shape[0], step):
+        block = p[start : start + step, :, None] + q[None]
+        out[start : start + step] = block.min(axis=1, initial=INF)
+    return out
+
+
+def _interface_close(
+    a: np.ndarray, c: np.ndarray, b: np.ndarray, eps: float
+) -> Optional[np.ndarray]:
+    """Closure of the meet of two closed matrices that share only the
+    interface slots C.
+
+    ``a`` is closed over X and C, with C at positions ``c``; ``b`` is closed
+    over C and Y, C first in the order of ``c``, and its C block is no
+    tighter than a's (it is built from a's own bounds; the meet still takes
+    the entrywise min there, so rounding cannot loosen it).  Returns the
+    closed meet E over a's slots followed by Y, with ⊗ the min-plus product:
+
+        E[X∪C, X∪C] = a             E[X∪C, Y] = a[:, C] ⊗ b[C, Y]
+        E[Y, X∪C] = b[Y, C] ⊗ a[C, :]
+        E[Y, Y] = min(b[Y, Y], b[Y, C] ⊗ E[C, Y])
+
+    A path of the meet alternates between a-edges and b-edges, and
+    consecutive edges on one closed side collapse into one.  A detour
+    through Y between two C slots is a b-path, never shorter than a's edge,
+    so a shortest path needs at most one C hop on each side of Y.  Returns
+    None if a cycle through Y weighs less than -eps; a diagonal entry
+    within eps of 0 is set to 0.
+    """
+    p, k = a.shape[0], len(c)
+    e = np.empty((p + b.shape[0] - k, p + b.shape[0] - k))
+    e[:p, :p] = a
+    cc = np.ix_(c, c)
+    e[cc] = np.minimum(a[cc], b[:k, :k])
+    e[:p, p:] = _min_plus(e[:p, c], b[:k, k:])
+    e[p:, :p] = _min_plus(b[k:, :k], e[c, :p])
+    yy = np.minimum(b[k:, k:], _min_plus(b[k:, :k], e[c, p:]))
+    if (np.diagonal(yy) < -eps).any():
+        return None
+    np.fill_diagonal(yy, 0.0)
+    e[p:, p:] = yy
+    return e
 
 
 def embed_oct(o: OctDbm, old_vars: Sequence[int], new_dim: int) -> OctDbm:

@@ -9,8 +9,12 @@ One loop serves every mode and domain.  It carries a closed zone over the
 tracked variables: the inputs, the current layer, and with ``track_all``
 every hidden layer.  Per layer it
 
-1. embeds the carried zone next to the layer's pre-activations h;
-2. mins in the layer's tight zone over (current layer, h) and closes;
+1. meets the carried zone with the layer's tight zone over (current
+   layer, h), h the layer's pre-activations;
+2. closes the meet through the slots the two share, slot 0 and the
+   current layer (``dbm._interface_close``): min-plus products through
+   them, since a shortest path needs one hop through them on each side
+   of h at most;
 3. appends y = max(0, h) (``_relu_append``), each entry of the image's
    tightest zone a max or min of closed entries, and keeps the tracked slots.
 
@@ -28,7 +32,13 @@ The modes differ only in what the loop carries between layers:
 
 In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
-through closure; ``_oct_relu_append`` writes the same exact entries there.
+through closure.  The meet is closed through +-current layer and then
+strengthened; ``_oct_relu_append`` writes the same exact entries there and
+closes only the kept variables and the clamped copies.  The full (old,
+pre, post) octagon is never built: with ``keep_layer_records`` each
+layer's record holds the exact zone ReLU image of the octagon's
+pre-activation plus block, built for the record only.  Every record also
+lists the step's slot counts under ``sizes``.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 generators, clamped and projected.
@@ -59,9 +69,10 @@ from .dbm import (
     EMPTY,
     INF,
     OctDbm,
+    _interface_close,
+    _strengthen,
     dbm_box,
-    dbm_close,
-    embed_dbm,
+    dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
     embed_oct,
     oct_close,
 )
@@ -261,13 +272,17 @@ def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
     return Dbm(e, closed=True)
 
 
-def _oct_relu_append(o: OctDbm, h_vars: list, eps: float):
-    """Append clamped copies g_i = max(0, h_i) to a closed octagon.
+def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] = None):
+    """Append clamped copies g_i = max(0, h_i) to a closed octagon and keep
+    the variables ``keep`` (default all) followed by the copies.
 
     Clamping distributes over sups: sup(max(0, h) - s) equals
     max(sup(-s), sup(h - s)), and symmetrically with min for the negated
     copy, so every new entry is the exact pairwise transfer of the closed
-    input entries.
+    input entries.  The transfer is written against every variable, then
+    the matrix is cut to the kept variables and the copies before it is
+    closed: a pass that pivots on the copies alone never goes through a
+    dropped slot, so the kept entries are those of the full closure.
     """
     n = o.dim
     r = len(h_vars)
@@ -314,9 +329,14 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float):
         e[minus_g],
     )
     np.fill_diagonal(e, 0.0)
+    if keep is not None:
+        vars_ = np.concatenate([np.asarray(keep, dtype=int), gs])
+        slots = np.concatenate([vars_, vars_ + m])
+        e = e[np.ix_(slots, slots)]
     # the old slots are strongly closed and every new entry is bounded by
     # their paths, so the copies are the only pivots the closure needs
-    out = oct_close(OctDbm(e), eps=eps, changed=range(n, m))
+    n_keep = len(e) // 2 - r
+    out = oct_close(OctDbm(e), eps=eps, changed=range(n_keep, n_keep + r))
     if out is EMPTY:
         raise EmptyAbstraction("octagon ReLU transfer produced an empty octagon")
     return out
@@ -476,7 +496,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
         sel = kept + ([i + n_new for i in pre] if act else pre)
         if oct_zone is not None:
-            oct_zone, zone, pre_zone, big = _oct_step(oct_zone, cur, layer, k_oct, act, sel, eps)
+            oct_zone, zone, pre_zone = _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps)
+            big = None
         else:
             pre_zone = _layer_zone(zone, cur, layer, k, eps)
             big = _relu_append(pre_zone, pre) if act else pre_zone
@@ -487,6 +508,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
             keys = list(var_map) + [("pre", j) for j in range(n_new)]
             if act:
                 keys += [("post", j) for j in range(n_new)]
+            if big is None:  # octagon domain: the zone ReLU image of its plus block
+                big = _relu_append(pre_zone, pre) if act else pre_zone
             records.append(
                 {
                     "stage": li + 1,
@@ -494,6 +517,9 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
                     "preact_box": Box(k.out_lo, k.out_hi),
                     "box": stage_box,
                     "preact_zone": {"dbm": big, "keys": keys},
+                    "sizes": _step_sizes(
+                        oct_zone is not None, n_old, len(cur), n_new, len(kept), act
+                    ),
                 }
             )
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
@@ -519,16 +545,27 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
 
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
     """Closed zone over (carried, h): the carried zone met with the layer's
-    tight zone over (current layer, h)."""
-    n_old = zone.dim
-    n_new = layer.n_outputs
-    e = embed_dbm(zone, list(range(1, n_old + 1)), n_old + n_new).entries
-    idx = np.asarray([0, *[i + 1 for i in cur], *range(n_old + 1, n_old + n_new + 1)])
-    e[np.ix_(idx, idx)] = np.minimum(e[np.ix_(idx, idx)], zone_dbm(k, layer).entries)
-    closed = dbm_close(Dbm(e), eps=eps)
-    if closed is EMPTY:
+    tight zone over (current layer, h), closed through their interface,
+    slot 0 and the current layer."""
+    c = np.asarray([0, *[i + 1 for i in cur]], dtype=int)
+    e = _interface_close(zone.entries, c, zone_dbm(k, layer).entries, eps)
+    if e is None:
         raise EmptyAbstraction("layer zone does not meet the carried zone")
-    return closed
+    return Dbm(e, closed=True)
+
+
+def _step_sizes(octagon: bool, n_old: int, n_cur: int, n_new: int, n_kept: int, act: bool) -> dict:
+    """Slot counts of one layer step: the closed meet and its interface
+    (with slot 0 in a zone, doubled in an octagon), and in the octagon
+    domain the ReLU closure's slots and pivots (0 without a ReLU)."""
+    if not octagon:
+        return {"meet_slots": 1 + n_old + n_new, "interface_slots": 1 + n_cur}
+    return {
+        "meet_slots": 2 * (n_old + n_new),
+        "interface_slots": 2 * n_cur,
+        "relu_slots": 2 * (n_kept + n_new) if act else 0,
+        "relu_pivots": 2 * n_new if act else 0,
+    }
 
 
 def _oct_from_box(box: Box) -> OctDbm:
@@ -545,34 +582,43 @@ def _oct_from_box(box: Box) -> OctDbm:
     return out
 
 
-def _oct_step(oct_zone, cur, layer, k_oct, act, sel, eps):
+def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     """One layer of the octagon chain in the doubled space, with the
-    layer's octagon constants ``k_oct``.
+    layer's octagon constants ``k_oct``: the carried octagon met with the
+    layer's, closed through their interface (+-current layer) and
+    strengthened, then the ReLU copies closed on the ``kept`` variables.
 
-    Returns the next octagon, its plus-block zone, the plus-block zone of
-    the (old, pre) space before ReLU, and the plus-block zone of the whole
-    (old, pre[, post]) space.
+    Returns the next octagon over (kept, post or pre), its plus-block zone
+    and the plus-block zone of the (old, pre) space before ReLU.
     """
     n_new = layer.n_outputs
     n_old = oct_zone.dim
     n_pre = n_old + n_new
-    entries = embed_oct(oct_zone, list(range(n_old)), n_pre).entries
-    l_vars = list(cur) + list(range(n_old, n_pre))
-    l_slots = np.asarray(l_vars + [v + n_pre for v in l_vars], dtype=int)
-    sub = entries[np.ix_(l_slots, l_slots)]
-    # the meet with the layer's raw octagon closes to the meet with its closure
-    entries[np.ix_(l_slots, l_slots)] = np.minimum(sub, _oct_entries(k_oct, layer))
-    closed = oct_close(OctDbm(entries), eps=eps)
-    if closed is EMPTY:
+    n_cur = len(cur)
+    cur = np.asarray(cur, dtype=int)
+    # the raw octagon's entries are exact sups, so it is closed as it
+    # stands; its slots (+cur, +h, -cur, -h) reordered to (+-cur, +-h)
+    n_l = n_cur + n_new
+    order = np.r_[0:n_cur, n_l : n_l + n_cur, n_cur:n_l, n_l + n_cur : 2 * n_l]
+    b = _oct_entries(k_oct, layer)[np.ix_(order, order)]
+    e = _interface_close(oct_zone.entries, np.concatenate([cur, cur + n_old]), b, eps)
+    if e is not None:
+        # (+old, -old, +h, -h) back to the doubled order (+old, +h, -old, -h)
+        old_minus = np.arange(n_old, 2 * n_old)
+        h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
+        back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
+        e = _strengthen(e[np.ix_(back, back)], n_pre, eps)
+    if e is None:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
+    closed = OctDbm(e, closed=True)
+    pre = list(range(n_old, n_pre))
     pre_zone = _plus_block_dbm(closed, list(range(n_pre)))
     if act:
-        closed = _oct_relu_append(closed, list(range(n_old, n_pre)), eps)
-    n_big = closed.dim
-    big = _plus_block_dbm(closed, list(range(n_big)))
-    idx = np.asarray(sel + [i + n_big for i in sel], dtype=int)
-    nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)].copy(), closed=True)
-    return nxt_oct, _plus_block_dbm(nxt_oct, list(range(len(sel)))), pre_zone, big
+        nxt_oct = _oct_relu_append(closed, pre, eps, keep=kept)
+    else:
+        idx = np.asarray(kept + pre + [i + n_pre for i in kept + pre], dtype=int)
+        nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)], closed=True)
+    return nxt_oct, _plus_block_dbm(nxt_oct, list(range(nxt_oct.dim))), pre_zone
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:

@@ -10,7 +10,9 @@ transportation problem.  One source or one sink forces the flow; otherwise
 successive shortest paths ship along the cheapest residual path.  A sink
 that no finite path reaches makes the minimum -inf, exactly.  The value
 returned is -sum f * m of the final flow; the one tolerance, on label
-relaxations, only keeps rounding from cycling the path search.
+relaxations, only keeps rounding from cycling the path search.  When the
+sum of the coefficients or the final cost leaves the float range, the
+value is -inf, which is still a lower bound.
 """
 
 from __future__ import annotations
@@ -26,14 +28,18 @@ def minimize_over_dbm(objective: np.ndarray, entries: np.ndarray) -> float:
     """min objective.x over the closed DBM ``entries`` (slot 0 the constant,
     ``objective[k]`` the coefficient of slot k + 1); -inf when unbounded."""
     a = [float(v) for v in objective]
-    supply = [math.fsum(a)] + [-v for v in a]
+    try:
+        supply = [math.fsum(a)] + [-v for v in a]
+    except OverflowError:
+        return -INF
     src = [v for v, b in enumerate(supply) if b > 0]
     snk = [v for v, b in enumerate(supply) if b < 0]
     if not src:
         return 0.0
     if len(src) == 1 or len(snk) == 1:
         # forced: a lone source meets every demand, a lone sink takes every supply
-        return -math.fsum([min(supply[s], -supply[t]) * entries[s, t] for s in src for t in snk])
+        terms = [min(supply[s], -supply[t]) * float(entries[s, t]) for s in src for t in snk]
+        return _neg_sum(terms)
     return _transport(
         entries[np.ix_(src, snk)].tolist(),
         [supply[s] for s in src],
@@ -101,4 +107,13 @@ def _transport(cost: list, sup: list, dem: list) -> float:
                 del flow[i, j]
                 into[j].discard(i)
         if not (any(s > 0 for s in sup) and any(d > 0 for d in dem)):
-            return -math.fsum([f * cost[i][j] for (i, j), f in flow.items()])
+            return _neg_sum([f * cost[i][j] for (i, j), f in flow.items()])
+
+
+def _neg_sum(terms: list) -> float:
+    """-fsum(terms), or -inf when the sum leaves the float range (an
+    intermediate overflow, or inf - inf from products that overflowed)."""
+    try:
+        return -math.fsum(terms)
+    except (OverflowError, ValueError):
+        return -INF

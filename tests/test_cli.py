@@ -323,3 +323,13 @@ class TestBadRestriction:
         rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(spec)])
         assert rc == 0
         assert "f: Verified" in capsys.readouterr().out
+
+
+def test_huge_objective_is_unknown(capsys):
+    # coefficients 1e308 overflow the LP's sums: the minimum is -inf, so the
+    # assertion is Unknown and the exit code 2
+    rc = run_cli(["--network", str(FIXTURES / "running.nt"), "--spec", str(FIXTURES / "huge.spec")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "huge: Unknown" in captured.out
+    assert "Traceback" not in captured.out + captured.err

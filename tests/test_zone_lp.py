@@ -123,6 +123,32 @@ class TestGeneralFlow:
             min_over_zone(ZONE, None, np.array([bad, -bad, 1.0]))
 
 
+class TestHugeObjective:
+    """Finite coefficients whose sums leave the float range give -inf, a
+    sound lower bound, instead of an error from ``math.fsum``."""
+
+    def test_supply_sum_overflows(self):
+        zone = Box([0.0, 0.0], [1.0, 1.0]).to_dbm()
+        assert min_over_zone(zone, None, np.array([1e308, 1e308])) == -INF
+
+    def test_general_flow_cost_overflows(self):
+        # sources x3 and x4, sinks x1 and x2; the true minimum is -4e308
+        zone = Box([-1.0, 2.0, 0.0, 0.0], [1.0, 3.0, 1.0, 2.0]).to_dbm()
+        obj = np.array([1.0, 1.0, -1.0, -1.0])
+        assert min_over_zone(zone, None, 1e308 * obj) == -INF
+        assert min_over_zone(zone, None, 1e300 * obj) == -2e300
+
+    def test_forced_flow_inf_minus_inf(self):
+        # one source (slot 0) and costs of both signs whose products overflow
+        # to +inf and -inf; the true minimum is 0
+        entries = Box([-100.0, 100.0], [0.0, 200.0]).to_dbm().entries
+        assert minimize_over_dbm(np.array([1e307, 1e307]), entries) == -INF
+
+    def test_representable_minimum_is_kept(self):
+        zone = Box([0.0, 0.0], [1.0, 1.0]).to_dbm()
+        assert min_over_zone(zone, None, np.array([1e308, -1e308])) == -1e308
+
+
 def random_zone(rng) -> Dbm:
     """A nonempty closed zone: the tightest zone of a few points, integer
     valued or a single point now and then, with entries dropped and the
