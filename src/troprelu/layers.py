@@ -18,8 +18,22 @@ adds tight bounds on sums y_i1 + y_i2 and y_i + x_j and lives in a doubled
 space (+x, +y, -x, -y), where it is again a zone, hence again a tropical
 polyhedron.
 
+The pairwise constants are sups of a linear form over the box, and
+sup_x a . x = a . lo + relu(a) . (hi - lo).  With c = W lo + b,
+d = W hi + b and width = hi - lo they come in product form:
+
+    diff[i, k]   = c_i - c_k + R[i, k],   R[i, k] = relu(w_i - w_k) . width
+    sum_hi[i, k] = c_i + c_k + S[i, k],   S[i, k] = relu(w_i + w_k) . width
+    sum_lo[i, k] = d_i + d_k - S[i, k]
+
+Each of R and S is one subtraction (addition), one in-place max with 0
+and one matrix-vector product, computed in row blocks so that the
+(rows, n, m) temporary stays small however wide the layer.
+
 All constructions here are exact sups over the graph; tests verify every
-finite bound is attained by a vertex of the input box.
+finite bound is attained by a vertex of the input box.  Exact in real
+arithmetic, that is: every sum and product here rounds to nearest, and
+no bound on the floating-point error is computed yet.
 """
 
 from __future__ import annotations
@@ -32,6 +46,10 @@ from .dbm import Box, Dbm, INF, OctDbm, oct_close
 from .errors import DimensionMismatch, EmptyAbstraction
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .tropical import TropExternal, TropInternal, extreme_filter, zone_to_internal
+
+# floats in one row block of ``_pair_widths``' temporary: 256 KB, small
+# enough for the three passes over it to stay in cache
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,12 @@ class OctAbsConstants:
 
 
 def zone_constants(layer: AffineLayer) -> ZoneAbsConstants:
+    return _constants(layer, sums=False)
+
+
+def _constants(layer: AffineLayer, sums: bool):
+    """Zone constants, and with ``sums`` the octagon constants, in product
+    form (see module docstring)."""
     w = layer.weights
     b = layer.bias
     lo = layer.in_box.lo
@@ -107,11 +131,40 @@ def zone_constants(layer: AffineLayer) -> ZoneAbsConstants:
     pos = np.maximum(w, 0.0)
     out_lo = neg @ hi + pos @ lo + b
     out_hi = neg @ lo + pos @ hi + b
-    dw = w[:, None, :] - w[None, :, :]
-    diff = np.where(dw < 0, dw * lo, dw * hi).sum(axis=2) + b[:, None] - b[None, :]
     width = hi - lo
     slack = np.where(w <= 0, 0.0, np.where(w <= 1, w * width, width))
-    return ZoneAbsConstants(out_lo, out_hi, diff, slack)
+    c = w @ lo + b
+    r, s = _pair_widths(w, width, sums)
+    zone = ZoneAbsConstants(out_lo, out_hi, c[:, None] - c[None, :] + r, slack)
+    if not sums:
+        return zone
+    d = w @ hi + b
+    sum_slack = np.where(w >= 0, 0.0, np.where(w >= -1, -w * width, width))
+    sum_hi = c[:, None] + c[None, :] + s
+    sum_lo = d[:, None] + d[None, :] - s
+    return OctAbsConstants(zone, sum_hi, sum_lo, sum_slack)
+
+
+def _pair_widths(w: np.ndarray, width: np.ndarray, sums: bool):
+    """R[i, k] = relu(w_i - w_k) . width and, with ``sums``,
+    S[i, k] = relu(w_i + w_k) . width (else None), in row blocks whose
+    (rows, n, m) temporary holds at most ``_BLOCK`` floats."""
+    n, m = w.shape
+    r = np.empty((n, n))
+    s = np.empty((n, n)) if sums else None
+    step = max(1, _BLOCK // max(n * m, 1))
+    buf = np.empty((min(step, n), n, m))
+    for start in range(0, n, step):
+        rows = w[start : start + step, None, :]
+        t = buf[: len(rows)]
+        np.subtract(rows, w, out=t)
+        np.maximum(t, 0.0, out=t)
+        np.matmul(t, width, out=r[start : start + step])
+        if sums:
+            np.add(rows, w, out=t)
+            np.maximum(t, 0.0, out=t)
+            np.matmul(t, width, out=s[start : start + step])
+    return r, s
 
 
 def zone_external(k: ZoneAbsConstants, layer: AffineLayer) -> TropExternal:
@@ -199,17 +252,7 @@ def zone_dbm(k: ZoneAbsConstants, layer: AffineLayer) -> Dbm:
 
 
 def oct_constants(layer: AffineLayer) -> OctAbsConstants:
-    w = layer.weights
-    b = layer.bias
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
-    sw = w[:, None, :] + w[None, :, :]
-    bias2 = b[:, None] + b[None, :]
-    sum_hi = np.where(sw > 0, sw * hi, sw * lo).sum(axis=2) + bias2
-    sum_lo = np.where(sw > 0, sw * lo, sw * hi).sum(axis=2) + bias2
-    width = hi - lo
-    sum_slack = np.where(w >= 0, 0.0, np.where(w >= -1, -w * width, width))
-    return OctAbsConstants(zone_constants(layer), sum_hi, sum_lo, sum_slack)
+    return _constants(layer, sums=True)
 
 
 def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:

@@ -33,17 +33,17 @@ The modes differ only in what the loop carries between layers:
 In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
 through closure.  The meet is closed through +-current layer and then
-strengthened; ``_oct_relu_append`` writes the same exact entries there and
-closes only the kept variables and the clamped copies.  The full (old,
-pre, post) octagon is never built: with ``keep_layer_records`` each
-layer's record holds the exact zone ReLU image of the octagon's
+strengthened; ``_oct_relu_append`` writes the same exact entries there,
+for the kept variables and the clamped copies only, and closes them.  The
+full (old, pre, post) octagon is never built: with ``keep_layer_records``
+each layer's record holds the exact zone ReLU image of the octagon's
 pre-activation plus block, built for the record only.  Every record also
 lists the step's slot counts under ``sizes``.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
-layer's pre-activation zone as n + 1 generators, clamped and projected.
-The analysis keeps that zone and builds the generators on first access,
-so a run whose result is only checked never builds them.
+layer's pre-activation zone as n + 1 points, clamped, projected and then
+filtered once.  The analysis keeps that zone and builds the generators on
+first access, so a run whose result is only checked never builds them.
 
 With a subdivision grid in cell-wise mode (``AnalysisOptions.subdiv``) the
 loop runs once per grid cell and the cells are joined: the zone, the
@@ -73,7 +73,6 @@ from .dbm import (
     _strengthen,
     dbm_box,
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
-    embed_oct,
     oct_close,
 )
 from .errors import (
@@ -279,64 +278,54 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] =
     Clamping distributes over sups: sup(max(0, h) - s) equals
     max(sup(-s), sup(h - s)), and symmetrically with min for the negated
     copy, so every new entry is the exact pairwise transfer of the closed
-    input entries.  The transfer is written against every variable, then
-    the matrix is cut to the kept variables and the copies before it is
-    closed: a pass that pivots on the copies alone never goes through a
-    dropped slot, so the kept entries are those of the full closure.
+    input entries.  Only the kept slots and the copies are written: the
+    kept block of the input, then each copy's transfer rows and columns
+    against the kept slots, all copies at once.  A pair of copies is
+    decomposed through each copy's transfer against the other's h slots.
+    The closure then pivots on the copies alone: the kept slots are
+    strongly closed, every new entry is bounded by their paths, and a pass
+    over the copies never goes through a dropped slot, so the kept entries
+    are those of the full closure.
     """
     n = o.dim
     r = len(h_vars)
-    m = n + r
-    e = embed_oct(o, list(range(n)), m).entries.copy()
+    keep = np.arange(n) if keep is None else np.asarray(keep, dtype=int)
+    k = len(keep)
+    size = k + r
     old = o.entries
-
-    def mirror_cols(size):
-        return np.concatenate([np.arange(size, 2 * size), np.arange(0, size)])
-
-    mir_old = mirror_cols(n)
-    # per-slot bounds of the closed input matrix: ub[q] = sup(s_q)
-    ub_old = old[np.arange(2 * n), mir_old] / 2.0
-    src = np.concatenate([np.arange(0, n), np.arange(m, m + n)])  # old slots in e
-    for i, hv in enumerate(h_vars):
-        gp, gm = n + i, m + n + i
-        hp, hm = hv, hv + n
-        h_hi = ub_old[hp]
-        h_lo = -ub_old[hm]
-        e[gp, gm] = 2.0 * max(0.0, h_hi)
-        e[gm, gp] = -2.0 * max(0.0, h_lo)
-        # rows/columns against every old slot q (exact max/min transfer)
-        e[gp, src] = np.minimum(e[gp, src], np.maximum(ub_old[mir_old], old[hp, :]))
-        e[src, gp] = np.minimum(e[src, gp], np.minimum(ub_old, old[:, hp]))
-        e[gm, src] = np.minimum(e[gm, src], np.minimum(ub_old[mir_old], old[hm, :]))
-        e[src, gm] = np.minimum(e[src, gm], np.maximum(ub_old, old[:, hm]))
-    # pairs of clamped copies (rows +g_i then -g_i, columns j != i),
-    # decomposed on the column variable through the (g_i, h_j) entries just
-    # written; each g-g entry depends only on itself and on entries this
-    # update leaves alone, so it is one block update.  np.minimum(b, a)
-    # keeps a on ties as min(a, b) does (signed zeros).
-    gs = np.arange(n, m)
-    rows = np.concatenate([gs, gs + m])
-    row_sup = (np.concatenate([e[gs, gs + m], e[gs + m, gs]]) / 2.0)[:, None]
-    hs = np.asarray(h_vars, dtype=int)
-    pairs = np.tile(~np.eye(r, dtype=bool), (2, 1))
-    plus_g, minus_g = np.ix_(rows, gs), np.ix_(rows, gs + m)
-    e[plus_g] = np.where(
-        pairs, np.minimum(e[np.ix_(rows, hs)], np.minimum(row_sup, e[plus_g])), e[plus_g]
-    )
-    e[minus_g] = np.where(
-        pairs,
-        np.minimum(np.maximum(e[np.ix_(rows, hs + m)], row_sup), e[minus_g]),
-        e[minus_g],
-    )
+    mir = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
+    ub = old[np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
+    hp = np.asarray(h_vars, dtype=int)
+    hm = hp + n
+    ks = np.concatenate([keep, keep + n])
+    # each copy's rows against the kept slots, then +h and -h of every copy
+    cols = np.concatenate([ks, hp, hm])
+    col_sup = ub[mir[cols]]
+    row_p = np.maximum(col_sup, old[np.ix_(hp, cols)])  # rows +g
+    row_m = np.minimum(col_sup, old[np.ix_(hm, cols)])  # rows -g
+    kpos = np.concatenate([np.arange(k), np.arange(size, size + k)])
+    gp = np.arange(k, size)
+    gm = gp + size
+    e = np.empty((2 * size, 2 * size))
+    e[np.ix_(kpos, kpos)] = old[np.ix_(ks, ks)]
+    e[np.ix_(gp, kpos)] = row_p[:, : 2 * k]
+    e[np.ix_(gm, kpos)] = row_m[:, : 2 * k]
+    e[np.ix_(kpos, gp)] = np.minimum(ub[ks][:, None], old[np.ix_(ks, hp)])
+    e[np.ix_(kpos, gm)] = np.maximum(ub[ks][:, None], old[np.ix_(ks, hm)])
+    # pairs of copies (rows +g_i then -g_i, columns j != i) through the
+    # (g_i, h_j) transfers; the i = j entries are the copies' own bounds.
+    # np.maximum(h, 0.0) keeps 0.0 on ties as max(0.0, h) does (signed zeros)
+    g_hi = 2.0 * np.maximum(ub[hp], 0.0)
+    g_lo = -2.0 * np.maximum(-ub[hm], 0.0)
+    row_sup = (np.concatenate([g_hi, g_lo]) / 2.0)[:, None]
+    to_h = np.vstack([row_p[:, 2 * k :], row_m[:, 2 * k :]])
+    rows = np.concatenate([gp, gm])
+    e[np.ix_(rows, gp)] = np.minimum(to_h[:, :r], row_sup)
+    e[np.ix_(rows, gm)] = np.maximum(to_h[:, r:], row_sup)
+    e[gp, gm] = g_hi
+    e[gm, gp] = g_lo
     np.fill_diagonal(e, 0.0)
-    if keep is not None:
-        vars_ = np.concatenate([np.asarray(keep, dtype=int), gs])
-        slots = np.concatenate([vars_, vars_ + m])
-        e = e[np.ix_(slots, slots)]
-    # the old slots are strongly closed and every new entry is bounded by
-    # their paths, so the copies are the only pivots the closure needs
-    n_keep = len(e) // 2 - r
-    out = oct_close(OctDbm(e), eps=eps, changed=range(n_keep, n_keep + r))
+    out = oct_close(OctDbm(e), eps=eps, changed=range(k, size))
     if out is EMPTY:
         raise EmptyAbstraction("octagon ReLU transfer produced an empty octagon")
     return out
@@ -375,12 +364,13 @@ class AnalysisResult:
 
     @cached_property
     def internal(self) -> TropInternal:
-        """Hull of the tracked dimensions: each part's n + 1 zone generators,
-        with clamped copies of its ReLU slots appended, projected onto its
-        kept slots and stacked in cell order, through one ``extreme_filter``."""
+        """Hull of the tracked dimensions: each part's n + 1 zone points,
+        unfiltered, with clamped copies of its ReLU slots appended, projected
+        onto its kept slots and stacked in cell order, through one
+        ``extreme_filter``."""
         points = []
         for pre_zone, relu_vars, sel in self._gen_parts:
-            g = zone_to_internal(pre_zone, eps=self._eps).generators
+            g = zone_to_internal(pre_zone, filtered=False).generators
             points.append(np.hstack([g, np.maximum(g[:, relu_vars], 0.0)])[:, sel])
         return extreme_filter(TropInternal(np.vstack(points)), eps=self._eps)
 

@@ -203,13 +203,17 @@ def internal_membership_many(
     return _combines(pts, poly.generators, _residuals(pts, poly.generators), eps)
 
 
-def zone_to_internal(zone: Dbm, eps: float = DEFAULT_EPS) -> TropInternal:
+def zone_to_internal(
+    zone: Dbm, eps: float = DEFAULT_EPS, *, filtered: bool = True
+) -> TropInternal:
     """Generator form of a closed bounded zone: n + 1 explicit points.
 
     The lower corner A = (-c_{0,1}, ..., -c_{0,n}) plus, for each variable
     k, the point B_k = (c_{k,0} - c_{k,1}, ..., c_{k,0} - c_{k,n}) where
     x_k sits at its maximum.  Closedness makes these points feasible and
-    their hull exactly the zone.
+    their hull exactly the zone.  They go through ``extreme_filter``
+    unless ``filtered`` is off, for a caller that filters them later
+    together with other points.
     """
     m = zone.entries
     if not zone.closed:
@@ -218,7 +222,8 @@ def zone_to_internal(zone: Dbm, eps: float = DEFAULT_EPS) -> TropInternal:
         raise InfiniteEntry("zone_to_internal needs finite entries (bounded zone)")
     a = -m[0, 1:]
     b = m[1:, 0][:, None] - m[1:, 1:]
-    return extreme_filter(TropInternal(np.vstack([a, b])), eps=eps)
+    points = TropInternal(np.vstack([a, b]))
+    return extreme_filter(points, eps=eps) if filtered else points
 
 
 def internal_to_zone(poly: TropInternal) -> Dbm:
