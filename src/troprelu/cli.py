@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -38,7 +39,8 @@ from .network import (
 )
 from .sherlock import parse_sherlock
 from .speccheck import LinearAssertion, check
-from .subdivision import SubdivisionGrid
+from .subdivision import SubdivisionGrid, check_cell_budget
+from .tropical import proj_internal
 
 
 def _interval(iv):
@@ -101,8 +103,6 @@ def emit_projection_csv(result: AnalysisResult, dims, path) -> None:
     d0, d1 = dims
     if min(d0, d1) < 0 or max(d0, d1) >= len(result.var_map) or d0 == d1:
         raise BadIndex("projection needs two distinct tracked dimensions")
-    from .tropical import proj_internal
-
     proj = proj_internal(result.internal, [d0, d1])
     sub = result.zone.slice([d0 + 1, d1 + 1])
     corners = _zone2d_corners(sub.entries)
@@ -169,8 +169,6 @@ def _parse_subdiv(text: str, n_inputs: int):
 def build_report(net_path, spec_path, args, result: AnalysisResult, verdicts, seconds):
     bounds = []
     for stage, box in enumerate(result.bounds):
-        if box is None:
-            continue
         bounds.append(
             {
                 "stage": stage,
@@ -244,7 +242,9 @@ def run_cli(argv=None) -> int:
         in_box, assertions = load_spec_file(args.spec, net.n_inputs, net.n_outputs)
         grid = None
         if args.subdiv:
-            grid = SubdivisionGrid.uniform(in_box, _parse_subdiv(args.subdiv, net.n_inputs))
+            counts = _parse_subdiv(args.subdiv, net.n_inputs)
+            check_cell_budget(math.prod(counts))  # before any cut array is built
+            grid = SubdivisionGrid.uniform(in_box, counts)
         options = AnalysisOptions(
             mode=ChainMode(args.mode),
             domain=AbsDomain(args.domain),

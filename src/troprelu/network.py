@@ -24,11 +24,11 @@ The modes differ only in what the loop carries between layers:
 * box:      the zone reset to its bounding box before each layer, so
             relations from earlier layers survive only through their
             interval bounds (the internal-only behaviour).
-* external: box behaviour; afterwards an inequality system over every
-            input, pre- and post-activation variable is built from the
-            per-layer boxes and kept for membership diagnostics
-            (inequality systems cannot be projected, so it keeps every
-            stage).
+* external: box behaviour; afterwards (without a grid) an inequality
+            system over every input, pre- and post-activation variable is
+            built from the per-layer boxes and kept for membership
+            diagnostics (inequality systems cannot be projected, so it
+            keeps every stage).
 
 In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
@@ -45,8 +45,8 @@ layer's pre-activation zone as n + 1 points, clamped, projected and then
 filtered once.  The analysis keeps that zone and builds the generators on
 first access, so a run whose result is only checked never builds them.
 
-With a subdivision grid in cell-wise mode (``AnalysisOptions.subdiv``) the
-loop runs once per grid cell and the cells are joined: the zone, the
+With a subdivision grid (``AnalysisOptions.subdiv``) the loop runs once
+per grid cell and the cells are joined: the zone, the
 generators (the union of the cells' generators, also built on first
 access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
@@ -75,12 +75,7 @@ from .dbm import (
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
     oct_close,
 )
-from .errors import (
-    BadIndex,
-    CellBudgetExceeded,
-    DimensionMismatch,
-    EmptyAbstraction,
-)
+from .errors import BadIndex, DimensionMismatch, EmptyAbstraction
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .layers import (
     AffineLayer,
@@ -91,20 +86,8 @@ from .layers import (
     zone_dbm,
     zone_external,
 )
-from .subdivision import (
-    SubdivisionConfig,
-    SubdivisionGrid,
-    SubdivisionMode,
-    subdivide_constraints,
-)
-from .tropical import (
-    TropExternal,
-    TropInternal,
-    emb_external,
-    extreme_filter,
-    intersect_external,
-    zone_to_internal,
-)
+from .subdivision import SubdivisionGrid, check_cell_budget
+from .tropical import TropExternal, TropInternal, extreme_filter, zone_to_internal
 
 
 class ChainMode(Enum):
@@ -337,7 +320,6 @@ class AnalysisOptions:
     domain: AbsDomain = AbsDomain.ZONE
     track_all: bool = False
     subdiv: Optional[SubdivisionGrid] = None
-    subdiv_cfg: SubdivisionConfig = SubdivisionConfig()
     eps: float = DEFAULT_EPS
     keep_layer_records: bool = True
 
@@ -388,13 +370,11 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
     """Propagate the input box through the network (see module docstring)."""
     if in_box.dim != net.n_inputs:
         raise DimensionMismatch("input box does not match network inputs")
-    if options.subdiv is not None and options.subdiv_cfg.mode is SubdivisionMode.CELLWISE_UNION:
+    if options.subdiv is not None:
         return _analyze_cellwise_union(net, options)
     res, layers = _analyze_single(net, in_box, options)
     if options.mode is ChainMode.EXTERNAL:
-        res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(
-            net, layers, options
-        )
+        res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(net, layers)
     return res
 
 
@@ -409,10 +389,7 @@ def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisR
     their union, built when first read.
     """
     grid = options.subdiv
-    if grid.n_cells > options.subdiv_cfg.cell_budget:
-        raise CellBudgetExceeded(
-            f"{grid.n_cells} cells exceed the budget of {options.subdiv_cfg.cell_budget}"
-        )
+    check_cell_budget(grid.n_cells)
     cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
     cells = []
@@ -630,44 +607,37 @@ def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
     return Dbm(e, closed=True)
 
 
-def _external_system(net: Network, layers: list, options: AnalysisOptions):
+def _external_system(net: Network, layers: list):
     """Row system over every input, pre- and post-activation variable.
 
     Built from each layer's tight zone over its input box, plus the ReLU
     rows over its pre-activation box; inequality systems cannot be
-    projected, so the system keeps every stage.  Returns (system, map).
+    projected, so the system keeps every stage.  Each block of rows is
+    written once into the whole system, in layer order.  Returns (system,
+    map).
     """
-    ext = TropExternal.empty(net.n_inputs)
     ext_map = [("x", 0, j) for j in range(net.n_inputs)]
+    parts = []  # (rows, the system columns they cover)
     feed = list(range(net.n_inputs))
     for li, (layer, k) in enumerate(layers):
         n_new = layer.n_outputs
-        p_ext = zone_external(k, layer)
-        if options.subdiv is not None and li == 0:
-            p_ext = intersect_external(
-                p_ext, subdivide_constraints(layer, options.subdiv, options.subdiv_cfg)
-            )
         h_dims = list(range(len(ext_map), len(ext_map) + n_new))
         ext_map += [("pre", li + 1, j) for j in range(n_new)]
-        p_big = _ext_embed(p_ext, feed, len(ext_map) - n_new, n_new)
-        ext = intersect_external(emb_external(ext, n_new, ext.dim), p_big)
+        parts.append((zone_external(k, layer), [0] + [v + 1 for v in feed + h_dims]))
         feed = h_dims
         if net.has_relu(li):
             feed = list(range(len(ext_map), len(ext_map) + n_new))
             ext_map += [("post", li + 1, j) for j in range(n_new)]
-            ext = emb_external(ext, n_new, ext.dim)
-            ext = intersect_external(
-                ext, relu_external(ext, h_dims, feed, Box(k.out_lo, k.out_hi))
-            )
-    return ext, ext_map
-
-
-def _ext_embed(p_ext: TropExternal, cur_slots, n_before_new, n_new) -> TropExternal:
-    """Spread a layer system over (cur, new) into the full external space."""
-    total = n_before_new + n_new
-    lhs = np.full((p_ext.n_rows, 1 + total), BOTTOM)
-    rhs = np.full((p_ext.n_rows, 1 + total), BOTTOM)
-    src_cols = [0] + [s + 1 for s in cur_slots] + [n_before_new + j + 1 for j in range(n_new)]
-    lhs[:, src_cols] = p_ext.lhs
-    rhs[:, src_cols] = p_ext.rhs
-    return TropExternal(lhs, rhs)
+            # the ReLU rows over (h, y) alone, spread over the system below
+            pairs = TropExternal.empty(2 * n_new)
+            relu_rows = relu_external(pairs, range(n_new), range(n_new, 2 * n_new), Box(k.out_lo, k.out_hi))
+            parts.append((relu_rows, [0] + [v + 1 for v in h_dims + feed]))
+    n_rows = sum(p.n_rows for p, _ in parts)
+    lhs = np.full((n_rows, 1 + len(ext_map)), BOTTOM)
+    rhs = np.full((n_rows, 1 + len(ext_map)), BOTTOM)
+    row = 0
+    for p, cols in parts:
+        lhs[row : row + p.n_rows, cols] = p.lhs
+        rhs[row : row + p.n_rows, cols] = p.rhs
+        row += p.n_rows
+    return TropExternal(lhs, rhs), ext_map

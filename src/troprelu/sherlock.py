@@ -47,7 +47,7 @@ def parse_sherlock_tokens(
             raise MalformedFile(f"{origin}: missing {what}")
         v = vals[pos]
         pos += 1
-        if v != int(v) or v < 0:
+        if not np.isfinite(v) or v != int(v) or v < 0:
             raise MalformedFile(f"{origin}: {what} must be a nonnegative integer, got {v}")
         return int(v)
 

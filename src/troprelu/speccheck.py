@@ -29,7 +29,7 @@ from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, Variabl
 from .maxplus import DEFAULT_EPS
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
 from .simplex import minimize_over_dbm
-from .subdivision import SubdivisionGrid, SubdivisionMode
+from .subdivision import SubdivisionGrid
 
 
 class VerdictStatus(Enum):
@@ -41,10 +41,11 @@ class VerdictStatus(Enum):
 class LinearAssertion:
     """in_coeffs.x + out_coeffs.y + const >= 0, optionally on a sub-box.
 
-    ``restrict`` narrows the input quantifier domain; ``None`` entries
-    leave that input unrestricted.  An interval with lo > hi or a NaN
-    endpoint raises InvalidInterval; one disjoint from the input box makes
-    the assertion vacuous.
+    ``restrict`` narrows the input quantifier domain, one entry per input
+    (``check`` raises VariableMismatch otherwise); ``None`` entries leave
+    that input unrestricted.  An interval with lo > hi or a NaN endpoint
+    raises InvalidInterval; one disjoint from the input box makes the
+    assertion vacuous.
     """
 
     in_coeffs: np.ndarray
@@ -138,6 +139,10 @@ def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
         raise VariableMismatch(
             "assertion coefficients do not match tracked inputs/outputs"
         )
+    if a.restrict is not None and len(a.restrict) != len(ins):
+        raise VariableMismatch(
+            f"restriction lists {len(a.restrict)} inputs, the network has {len(ins)}"
+        )
     obj = np.zeros(len(result.var_map))
     obj[ins] = a.in_coeffs
     obj[outs] = a.out_coeffs
@@ -189,5 +194,4 @@ def check_with_subdivision(
     least per-cell minimum, so shifting the assertion constant by its
     negation always yields a Verified assertion.
     """
-    cfg = replace(options.subdiv_cfg, mode=SubdivisionMode.CELLWISE_UNION)
-    return check(a, analyze(net, in_box, replace(options, subdiv=grid, subdiv_cfg=cfg)), eps=eps)
+    return check(a, analyze(net, in_box, replace(options, subdiv=grid)), eps=eps)

@@ -7,22 +7,25 @@ Three mechanisms, all sound:
   base rows plus one extra row per interior cut, picked by the slope case,
   and at most N + 2 extreme points.
 
-* general case: extra external rows valid for the whole graph, one family
-  per interior cut (per input/output pair, plus aggregate rows over
-  input groups and output groups).  These tighten the inequality system
-  without any union computation.
+* general case (``subdivide_constraints``): extra external rows valid for
+  the whole graph, one family per interior cut (per input/output pair,
+  plus aggregate rows over input groups and output groups of at most
+  ``MAX_GROUP`` outputs).  A library function for callers who want the
+  rows; the network analysis does not use them, since a grid there always
+  means the cell-wise analysis below.
 
 * cell-wise analysis: abstract the layer over every grid cell separately
   and return the tropical hull of the union.  Precision grows with the
   grid; the hull of a union of per-cell hulls over a refined grid is never
-  larger than over a coarser one.
+  larger than over a coarser one.  ``network.analyze`` runs the whole
+  network this way.  Either cell loop first checks the grid against
+  ``CELL_BUDGET`` (``check_cell_budget``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +37,14 @@ from .tropical import TropExternal, TropInternal, extreme_filter
 from .layers import AffineLayer, zone_constants, zone_external, zone_internal
 
 
-class SubdivisionMode(Enum):
-    CELLWISE_UNION = "cellwise-union"
-    EXTRA_CONSTRAINTS = "extra-constraints"
+CELL_BUDGET = 1024  # most grid cells one analysis may run
+MAX_GROUP = 2  # largest output subset used for the group rows
+
+
+def check_cell_budget(n_cells: int, budget: int = CELL_BUDGET) -> None:
+    """Raise CellBudgetExceeded when a grid of ``n_cells`` cells is too big."""
+    if n_cells > budget:
+        raise CellBudgetExceeded(f"{n_cells} cells exceed the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -90,13 +98,6 @@ class SubdivisionGrid:
                 raise InvalidDomain("cell counts must be >= 1")
             cuts.append(np.linspace(box.lo[j], box.hi[j], n + 1))
         return SubdivisionGrid(tuple(cuts))
-
-
-@dataclass(frozen=True)
-class SubdivisionConfig:
-    mode: SubdivisionMode = SubdivisionMode.CELLWISE_UNION
-    max_group: int = 2  # largest output subset used for group rows
-    cell_budget: int = 1024
 
 
 def _scalar_cut_points(slope, intercept, cuts):
@@ -185,11 +186,7 @@ def _greedy_unit_sum(slopes: np.ndarray, candidates: Sequence[int]):
     return sorted(chosen)
 
 
-def subdivide_constraints(
-    layer: AffineLayer,
-    grid: SubdivisionGrid,
-    cfg: SubdivisionConfig = SubdivisionConfig(),
-) -> TropExternal:
+def subdivide_constraints(layer: AffineLayer, grid: SubdivisionGrid) -> TropExternal:
     """Extra external rows induced by a grid, over (x_1..x_m, y_1..y_n).
 
     Per interior cut c of input i and output j (slope = w_ji):
@@ -199,10 +196,11 @@ def subdivide_constraints(
 
     Aggregate rows combine all nonpositive-slope inputs (and a maximal
     group of slopes summing to <= 1) at the common interior cut index.
-    A group row per output subset J bounds sum_J y below by its exact
-    minimum, split across the members proportionally to their ranges; the
-    max(0, .) guard is dropped only when the group slopes sum to exactly 1,
-    where the convex-combination bound needs no fallback branch.
+    A group row per output subset J of at most ``MAX_GROUP`` outputs bounds
+    sum_J y below by its exact minimum, split across the members
+    proportionally to their ranges; the max(0, .) guard is dropped only
+    when the group slopes sum to exactly 1, where the convex-combination
+    bound needs no fallback branch.
     Singleton groups reduce to the base lower bound and are skipped.
     """
     if grid.dim != layer.n_inputs:
@@ -269,7 +267,7 @@ def subdivide_constraints(
                 lhs_rows.append(lhs)
                 rhs_rows.append(rhs)
 
-    for size in range(2, min(cfg.max_group, n) + 1):
+    for size in range(2, min(MAX_GROUP, n) + 1):
         for group in itertools.combinations(range(n), size):
             gsum = w[list(group)].sum(axis=0)
             group_lo = float(
@@ -301,7 +299,7 @@ def analyze_cellwise(
     layer: AffineLayer,
     grid: SubdivisionGrid,
     apply_relu: bool = False,
-    cell_budget: int = 1024,
+    cell_budget: int = CELL_BUDGET,
     eps: float = DEFAULT_EPS,
 ) -> TropInternal:
     """Hull of the union of per-cell zone abstractions.
@@ -311,10 +309,7 @@ def analyze_cellwise(
     """
     if grid.dim != layer.n_inputs:
         raise InvalidDomain("grid dimension must match layer inputs")
-    if grid.n_cells > cell_budget:
-        raise CellBudgetExceeded(
-            f"{grid.n_cells} cells exceed the budget of {cell_budget}"
-        )
+    check_cell_budget(grid.n_cells, cell_budget)
     pieces = []
     for cell in grid.cells():
         sub = AffineLayer(layer.weights, layer.bias, cell)

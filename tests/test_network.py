@@ -193,31 +193,6 @@ class TestEndToEndSoundness:
                     assert dbm_contains(res.zone, pts, eps=1e-6).all(), (mode, domain)
                     assert internal_membership_many(res.internal, pts, eps=1e-6).all()
 
-    def test_extra_constraint_rows_join_external_system(self, rng, running_net, unit_box2):
-        from troprelu import SubdivisionConfig, SubdivisionGrid
-        from troprelu.subdivision import SubdivisionMode
-
-        grid = SubdivisionGrid.uniform(unit_box2, 2)
-        opts = AnalysisOptions(
-            mode=ChainMode.EXTERNAL,
-            subdiv=grid,
-            subdiv_cfg=SubdivisionConfig(mode=SubdivisionMode.EXTRA_CONSTRAINTS),
-        )
-        plain = analyze(running_net, unit_box2, AnalysisOptions(mode=ChainMode.EXTERNAL))
-        refined = analyze(running_net, unit_box2, opts)
-        base_rows = plain.diagnostics["external"].n_rows
-        extra_rows = refined.diagnostics["external"].n_rows
-        assert extra_rows > base_rows
-        # traces still satisfy the strengthened system
-        xs = unit_box2.sample(rng, 400)
-        hs = running_net.trace(xs)
-        ext = refined.diagnostics["external"]
-        emap = refined.diagnostics["external_map"]
-        h = xs @ running_net.weights[0].T + running_net.biases[0]
-        cols = {("x", 0): xs, ("pre", 1): h, ("post", 1): np.maximum(h, 0.0)}
-        full = np.column_stack([cols[(k[0], k[1])][:, k[2]] for k in emap])
-        assert external_membership_many(ext, full, eps=1e-9).all()
-
     def test_external_rows_hold_on_traces(self, rng):
         net = random_network(rng, max_layers=3, max_width=6)
         box = random_box(rng, net.n_inputs)
