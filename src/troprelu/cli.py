@@ -148,6 +148,7 @@ def _zone2d_corners(e: np.ndarray):
 
 def _parse_subdiv(text: str, n_inputs: int):
     counts = [1] * n_inputs
+    named = set()
     for part in text.split(","):
         name, _, num = part.partition(":")
         name = name.strip()
@@ -162,6 +163,9 @@ def _parse_subdiv(text: str, n_inputs: int):
             ) from None
         if idx < 0 or idx >= n_inputs:
             raise TropReluError(f"--subdiv: no input named {name}")
+        if idx in named:
+            raise TropReluError(f"--subdiv names {name} twice")
+        named.add(idx)
         counts[idx] = count
     return counts
 

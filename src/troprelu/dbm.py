@@ -20,6 +20,14 @@ inputs) is closed by ``_interface_close``: min-plus products through the
 shared slots, no Floyd-Warshall pass.  ``dbm_close`` and ``oct_close``
 close everything else.
 
+A ``Box`` and a ``Dbm`` may carry leading axes, one box or matrix per
+grid cell: lo and hi of shape (C, n), entries of shape (C, n+1, n+1).
+The layer loop analyses a grid in that stacked form, every cell's
+arithmetic the same as alone.  ``Box.dim``, ``Box.width``,
+``Box.to_dbm``, ``Dbm.dim``, ``Dbm.slice``, ``dbm_box``, ``embed_dbm``,
+``_interface_close`` and ``_shortest_paths`` read stacks; every other
+method and function takes a single box or matrix.
+
 Octagons add constraints on sums x_i + x_j.  They are encoded as a DBM
 over 2n doubled variables (+x_1..+x_n, -x_1..-x_n) with *no* constant
 slot: a unary bound x_i <= b is written as (+x_i) - (-x_i) <= 2b.  The
@@ -29,6 +37,7 @@ on (+x_j) - (-x_i), both meaning x_i + x_j <= c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -59,7 +68,8 @@ EMPTY = _EmptyZone()
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box with finite per-variable intervals [lo_j, hi_j]."""
+    """Axis-aligned box with finite per-variable intervals [lo_j, hi_j]
+    (leading axes: a stack of boxes, see the module docstring)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -69,8 +79,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("box bounds must be 1-d arrays of equal length")
+        if lo.shape != hi.shape or lo.ndim < 1:
+            raise DimensionMismatch("box bounds must be arrays of equal shape")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise UnboundedVariable("box bounds must be finite")
         if (lo > hi).any():
@@ -78,7 +88,7 @@ class Box:
 
     @property
     def dim(self) -> int:
-        return self.lo.shape[0]
+        return self.lo.shape[-1]
 
     @property
     def width(self) -> np.ndarray:
@@ -101,13 +111,12 @@ class Box:
     def to_dbm(self) -> "Dbm":
         """The (already closed) DBM of the box."""
         n = self.dim
-        m = np.full((n + 1, n + 1), INF)
-        np.fill_diagonal(m, 0.0)
-        m[1:, 0] = self.hi
-        m[0, 1:] = -self.lo
+        m = np.empty(self.lo.shape[:-1] + (n + 1, n + 1))
+        m[..., 1:, 0] = self.hi
+        m[..., 0, 1:] = -self.lo
         # pairwise sups over the product set
-        m[1:, 1:] = self.hi[:, None] - self.lo[None, :]
-        np.fill_diagonal(m, 0.0)
+        m[..., 1:, 1:] = self.hi[..., :, None] - self.lo[..., None, :]
+        _fill_diagonal(m, 0.0)
         return Dbm(m, closed=True)
 
     def vertices(self) -> Iterator[np.ndarray]:
@@ -140,13 +149,13 @@ class Dbm:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] < 1:
             raise DimensionMismatch("DBM must be a square matrix")
 
     @property
     def dim(self) -> int:
         """Number of variables, excluding the constant slot."""
-        return self.entries.shape[0] - 1
+        return self.entries.shape[-1] - 1
 
     def upper(self, i: int) -> float:
         """Upper bound of x_i (1-based variable slot)."""
@@ -162,52 +171,64 @@ class Dbm:
         dropped variables are already folded into the kept entries.
         """
         idx = np.asarray([0, *slots], dtype=int)
-        return Dbm(self.entries[np.ix_(idx, idx)].copy(), closed=self.closed)
+        return Dbm(self.entries[..., idx[:, None], idx], closed=self.closed)
 
 
 MaybeDbm = Union[Dbm, _EmptyZone]
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Read-only view of the diagonal of each matrix of a stack."""
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
+def _fill_diagonal(m: np.ndarray, value) -> None:
+    """Set the diagonal of each matrix of a stack, in place."""
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = value
+
+
 def _floyd_warshall(m: np.ndarray, pivots: Optional[Sequence[int]] = None) -> np.ndarray:
-    for k in range(m.shape[0]) if pivots is None else pivots:
-        np.minimum(m, m[:, k, None] + m[None, k, :], out=m)
+    for k in range(m.shape[-1]) if pivots is None else pivots:
+        np.minimum(m, m[..., :, k, None] + m[..., None, k, :], out=m)
     return m
 
 
 def _shortest_paths(
     entries: np.ndarray, eps: float, pivots: Optional[Sequence[int]] = None, n_oct: int = 0
-) -> Optional[np.ndarray]:
+):
     """Floyd-Warshall over ``pivots`` (default all slots) on a copy of
     ``entries`` with its diagonal clamped to <= 0 (and made coherent if
-    ``n_oct`` gives an octagon's variable count); None if a cycle weighs
-    less than -eps.
+    ``n_oct`` gives an octagon's variable count).  Returns the closed
+    matrix and whether a cycle weighs less than -eps (it is then empty);
+    on a stack, each matrix is closed alone and the flag is a mask.
 
     On a flat set (a point box, a dead unit) rounding leaves zero-weight
     cycles a few ulps negative, and the pass doubles that at every pivot.
-    So a pass that ends with a negative diagonal is redone on entries
-    widened (soundly) by size ulps of the largest one, more than rounding
-    can take off a path; a cycle still below -eps is real.
+    So a matrix whose pass ends with a negative diagonal is redone on its
+    entries widened (soundly) by size ulps of its largest one, more than
+    rounding can take off a path; a cycle still below -eps is real.
     """
 
-    def start(slack: float) -> np.ndarray:
-        m = entries + slack if slack else entries.copy()
-        np.fill_diagonal(m, np.minimum(np.diagonal(m), 0.0))
+    def start(e: np.ndarray, slack=None) -> np.ndarray:
+        m = e.copy() if slack is None else e + slack[..., None, None]
+        _fill_diagonal(m, np.minimum(_diagonal(m), 0.0))
         return _coherence_min(m, n_oct) if n_oct else m
 
-    m = _floyd_warshall(start(0.0), pivots)
-    if (np.diagonal(m) >= 0.0).all():
-        return m
-    finite = np.abs(entries[np.isfinite(entries)])
-    m = _floyd_warshall(start(len(m) * np.spacing(finite.max() if finite.size else 0.0)), pivots)
-    if (np.diagonal(m) < -eps).any():
-        return None
-    return m
+    m = _floyd_warshall(start(entries), pivots)
+    redo = (_diagonal(m) < 0.0).any(axis=-1)
+    if not redo.any():
+        return m, redo
+    e = entries[redo]
+    largest = np.where(np.isfinite(e), np.abs(e), 0.0).max(axis=(-2, -1), initial=0.0)
+    m[redo] = _floyd_warshall(start(e, e.shape[-1] * np.spacing(largest)), pivots)
+    return m, redo & (_diagonal(m) < -eps).any(axis=-1)
 
 
 def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
     """Shortest-path closure; EMPTY iff a cycle weighs less than -eps."""
-    m = _shortest_paths(d.entries, eps)
-    if m is None:
+    m, empty = _shortest_paths(d.entries, eps)
+    if empty:
         return EMPTY
     np.fill_diagonal(m, 0.0)
     return Dbm(m, closed=True)
@@ -226,8 +247,8 @@ def dbm_box(d: Dbm) -> Box:
         from .errors import NotClosed
 
         raise NotClosed("dbm_box needs a closed DBM")
-    hi = d.entries[1:, 0]
-    lo = -d.entries[0, 1:]
+    hi = d.entries[..., 1:, 0]
+    lo = -d.entries[..., 0, 1:]
     if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
         raise UnboundedVariable("zone has an unbounded variable")
     return _bounds_box(lo, hi)
@@ -289,10 +310,10 @@ def embed_dbm(d: Dbm, old_slots: Sequence[int], new_dim: int) -> Dbm:
     """
     if len(old_slots) != d.dim:
         raise DimensionMismatch("slot map size does not match DBM dimension")
-    m = np.full((new_dim + 1, new_dim + 1), INF)
-    np.fill_diagonal(m, 0.0)
+    m = np.full(d.entries.shape[:-2] + (new_dim + 1, new_dim + 1), INF)
+    _fill_diagonal(m, 0.0)
     idx = np.asarray([0, *old_slots], dtype=int)
-    m[np.ix_(idx, idx)] = d.entries
+    m[..., idx[:, None], idx] = d.entries
     return Dbm(m, closed=d.closed)
 
 
@@ -365,7 +386,7 @@ def _mirror(n: int) -> np.ndarray:
 def _coherence_min(m: np.ndarray, n: int) -> np.ndarray:
     # entries[p, q] and entries[mirror(q), mirror(p)] encode the same fact
     perm = _mirror(n)
-    return np.minimum(m, m[np.ix_(perm, perm)].T)
+    return np.minimum(m, m[..., perm[:, None], perm].swapaxes(-2, -1))
 
 
 def oct_close(
@@ -394,9 +415,8 @@ def oct_close(
     if changed is not None:
         var = np.asarray(changed, dtype=int)
         pivots = np.sort(np.concatenate([var, var + n]))
-    m = _shortest_paths(o.entries, eps, pivots, n_oct=n)
-    if m is not None:
-        m = _strengthen(m, n, eps)
+    m, empty = _shortest_paths(o.entries, eps, pivots, n_oct=n)
+    m = None if empty else _strengthen(m, n, eps)
     return EMPTY if m is None else OctDbm(m, closed=True)
 
 
@@ -420,22 +440,30 @@ def _strengthen(m: np.ndarray, n: int, eps: float) -> Optional[np.ndarray]:
 
 
 def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Min-plus product out[i, j] = min_k (p[i, k] + q[k, j]), +inf when k
-    is empty, in row blocks whose (rows, k, j) temporary holds at most 2^18
-    floats."""
-    out = np.empty((p.shape[0], q.shape[1]))
-    step = max(1, (1 << 18) // max(q.size, 1))
-    for start in range(0, p.shape[0], step):
-        block = p[start : start + step, :, None] + q[None]
-        out[start : start + step] = block.min(axis=1, initial=INF)
-    return out
+    """Min-plus product out[..., i, j] = min_k (p[..., i, k] + q[..., k, j]),
+    +inf when k is empty, for one matrix pair or a stack of pairs (the same
+    leading axes on both).  Blocks of rows, of whole cells when a cell's
+    rows fit, keep each (cells, rows, k, j) temporary within 2^18 floats."""
+    batch = p.shape[:-2]
+    n = math.prod(batch)
+    r, k, j = p.shape[-2], p.shape[-1], q.shape[-1]
+    p3 = p.reshape((n, r, k))
+    q3 = q.reshape((n, k, j))
+    out = np.empty((n, r, j))
+    rows = max(1, (1 << 18) // max(k * j, 1))
+    cells = max(1, rows // max(r, 1))
+    for c0 in range(0, n, cells):
+        for r0 in range(0, r, rows):
+            block = p3[c0 : c0 + cells, r0 : r0 + rows, :, None] + q3[c0 : c0 + cells, None]
+            out[c0 : c0 + cells, r0 : r0 + rows] = block.min(axis=2, initial=INF)
+    return out.reshape(batch + (r, j))
 
 
 def _interface_close(
     a: np.ndarray, c: np.ndarray, b: np.ndarray, eps: float
 ) -> Optional[np.ndarray]:
     """Closure of the meet of two closed matrices that share only the
-    interface slots C.
+    interface slots C (or of each pair of two stacks of them).
 
     ``a`` is closed over X and C, with C at positions ``c``; ``b`` is closed
     over C and Y, C first in the order of ``c``, and its C block is no
@@ -451,21 +479,22 @@ def _interface_close(
     consecutive edges on one closed side collapse into one.  A detour
     through Y between two C slots is a b-path, never shorter than a's edge,
     so a shortest path needs at most one C hop on each side of Y.  Returns
-    None if a cycle through Y weighs less than -eps; a diagonal entry
-    within eps of 0 is set to 0.
+    None if a cycle through Y weighs less than -eps (in any pair of a
+    stack); a diagonal entry within eps of 0 is set to 0.
     """
-    p, k = a.shape[0], len(c)
-    e = np.empty((p + b.shape[0] - k, p + b.shape[0] - k))
-    e[:p, :p] = a
-    cc = np.ix_(c, c)
-    e[cc] = np.minimum(a[cc], b[:k, :k])
-    e[:p, p:] = _min_plus(e[:p, c], b[:k, k:])
-    e[p:, :p] = _min_plus(b[k:, :k], e[c, :p])
-    yy = np.minimum(b[k:, k:], _min_plus(b[k:, :k], e[c, p:]))
-    if (np.diagonal(yy) < -eps).any():
+    p, k = a.shape[-1], len(c)
+    size = p + b.shape[-1] - k
+    e = np.empty(a.shape[:-2] + (size, size))
+    e[..., :p, :p] = a
+    cc = (Ellipsis, c[:, None], c)
+    e[cc] = np.minimum(a[cc], b[..., :k, :k])
+    e[..., :p, p:] = _min_plus(e[..., :p, c], b[..., :k, k:])
+    e[..., p:, :p] = _min_plus(b[..., k:, :k], e[..., c, :p])
+    yy = np.minimum(b[..., k:, k:], _min_plus(b[..., k:, :k], e[..., c, p:]))
+    if (_diagonal(yy) < -eps).any():
         return None
-    np.fill_diagonal(yy, 0.0)
-    e[p:, p:] = yy
+    _fill_diagonal(yy, 0.0)
+    e[..., p:, p:] = yy
     return e
 
 

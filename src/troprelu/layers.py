@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbm import Box, Dbm, INF, OctDbm, oct_close
+from .dbm import Box, Dbm, OctDbm, _fill_diagonal, oct_close
 from .errors import DimensionMismatch, EmptyAbstraction
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .tropical import TropExternal, TropInternal, extreme_filter, zone_to_internal
@@ -120,38 +120,49 @@ def zone_constants(layer: AffineLayer) -> ZoneAbsConstants:
     return _constants(layer, sums=False)
 
 
+def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for x of shape (..., m): one matrix-vector product per cell,
+    each bit for bit the product of that cell alone (one gemm over the
+    stacked cells rounds differently)."""
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def _constants(layer: AffineLayer, sums: bool):
     """Zone constants, and with ``sums`` the octagon constants, in product
-    form (see module docstring)."""
+    form (see module docstring).  On a stacked input box (leading cell
+    axes) every constant gets the same leading axes."""
     w = layer.weights
     b = layer.bias
     lo = layer.in_box.lo
     hi = layer.in_box.hi
     neg = np.minimum(w, 0.0)
     pos = np.maximum(w, 0.0)
-    out_lo = neg @ hi + pos @ lo + b
-    out_hi = neg @ lo + pos @ hi + b
+    out_lo = _mv(neg, hi) + _mv(pos, lo) + b
+    out_hi = _mv(neg, lo) + _mv(pos, hi) + b
     width = hi - lo
-    slack = np.where(w <= 0, 0.0, np.where(w <= 1, w * width, width))
-    c = w @ lo + b
+    cw = width[..., None, :]
+    slack = np.where(w <= 0, 0.0, np.where(w <= 1, w * cw, cw))
+    c = _mv(w, lo) + b
     r, s = _pair_widths(w, width, sums)
-    zone = ZoneAbsConstants(out_lo, out_hi, c[:, None] - c[None, :] + r, slack)
+    zone = ZoneAbsConstants(out_lo, out_hi, c[..., :, None] - c[..., None, :] + r, slack)
     if not sums:
         return zone
-    d = w @ hi + b
-    sum_slack = np.where(w >= 0, 0.0, np.where(w >= -1, -w * width, width))
-    sum_hi = c[:, None] + c[None, :] + s
-    sum_lo = d[:, None] + d[None, :] - s
+    d = _mv(w, hi) + b
+    sum_slack = np.where(w >= 0, 0.0, np.where(w >= -1, -w * cw, cw))
+    sum_hi = c[..., :, None] + c[..., None, :] + s
+    sum_lo = d[..., :, None] + d[..., None, :] - s
     return OctAbsConstants(zone, sum_hi, sum_lo, sum_slack)
 
 
 def _pair_widths(w: np.ndarray, width: np.ndarray, sums: bool):
-    """R[i, k] = relu(w_i - w_k) . width and, with ``sums``,
-    S[i, k] = relu(w_i + w_k) . width (else None), in row blocks whose
-    (rows, n, m) temporary holds at most ``_BLOCK`` floats."""
+    """R[..., i, k] = relu(w_i - w_k) . width and, with ``sums``,
+    S[..., i, k] = relu(w_i + w_k) . width (else None), for widths of shape
+    (..., m), in row blocks whose (rows, n, m) temporary holds at most
+    ``_BLOCK`` floats; each block is shared by every cell's product."""
     n, m = w.shape
-    r = np.empty((n, n))
-    s = np.empty((n, n)) if sums else None
+    r = np.empty(width.shape[:-1] + (n, n))
+    s = np.empty_like(r) if sums else None
+    col = width[..., None, :, None]  # each cell's widths as a column
     step = max(1, _BLOCK // max(n * m, 1))
     buf = np.empty((min(step, n), n, m))
     for start in range(0, n, step):
@@ -159,11 +170,11 @@ def _pair_widths(w: np.ndarray, width: np.ndarray, sums: bool):
         t = buf[: len(rows)]
         np.subtract(rows, w, out=t)
         np.maximum(t, 0.0, out=t)
-        np.matmul(t, width, out=r[start : start + step])
+        r[..., start : start + step, :] = np.matmul(t, col)[..., 0]
         if sums:
             np.add(rows, w, out=t)
             np.maximum(t, 0.0, out=t)
-            np.matmul(t, width, out=s[start : start + step])
+            s[..., start : start + step, :] = np.matmul(t, col)[..., 0]
     return r, s
 
 
@@ -230,24 +241,24 @@ def zone_internal(
 
 
 def zone_dbm(k: ZoneAbsConstants, layer: AffineLayer) -> Dbm:
-    """The tight zone as a closed DBM over (x_1..x_m, y_1..y_n)."""
+    """The tight zone as a closed DBM over (x_1..x_m, y_1..y_n); a stack of
+    them on a stacked input box."""
     m = layer.n_inputs
-    n = layer.n_outputs
     lo = layer.in_box.lo
     hi = layer.in_box.hi
-    size = 1 + m + n
-    e = np.full((size, size), INF)
+    size = 1 + m + layer.n_outputs
+    e = np.empty(lo.shape[:-1] + (size, size))
     xs = slice(1, 1 + m)
     ys = slice(1 + m, size)
-    e[xs, 0] = hi
-    e[0, xs] = -lo
-    e[ys, 0] = k.out_hi
-    e[0, ys] = -k.out_lo
-    e[xs, xs] = hi[:, None] - lo[None, :]
-    e[ys, ys] = k.diff
-    e[ys, xs] = k.out_hi[:, None] - lo[None, :] - k.slack
-    e[xs, ys] = (hi[:, None] - k.out_lo[None, :]) - k.slack.T
-    np.fill_diagonal(e, 0.0)
+    e[..., xs, 0] = hi
+    e[..., 0, xs] = -lo
+    e[..., ys, 0] = k.out_hi
+    e[..., 0, ys] = -k.out_lo
+    e[..., xs, xs] = hi[..., :, None] - lo[..., None, :]
+    e[..., ys, ys] = k.diff
+    e[..., ys, xs] = k.out_hi[..., :, None] - lo[..., None, :] - k.slack
+    e[..., xs, ys] = (hi[..., :, None] - k.out_lo[..., None, :]) - k.slack.swapaxes(-2, -1)
+    _fill_diagonal(e, 0.0)
     return Dbm(e, closed=True)
 
 

@@ -45,8 +45,17 @@ layer's pre-activation zone as n + 1 points, clamped, projected and then
 filtered once.  The analysis keeps that zone and builds the generators on
 first access, so a run whose result is only checked never builds them.
 
-With a subdivision grid (``AnalysisOptions.subdiv``) the loop runs once
-per grid cell and the cells are joined: the zone, the
+With a subdivision grid (``AnalysisOptions.subdiv``) the zone-domain loop
+runs once for all cells: every box, zone and layer constant carries a
+leading cell axis, and each cell's floats are computed as they would be
+alone (``np.matmul`` of a layer's weights against one column per cell
+gives each cell's matrix-vector product bit for bit; one matrix product
+over the stacked cells would round differently).  Cells go through in
+chunks that keep each stacked matrix within ``_CELL_FLOATS`` floats.  A
+run without a grid is the same loop on one box, without the cell axis.
+The octagon chain takes one box, so there the cells pass one by one and
+their results are stacked alike.  The grid must have one axis per input
+and lie inside the input box.  The cells are joined: the zone, the
 generators (the union of the cells' generators, also built on first
 access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
@@ -69,13 +78,14 @@ from .dbm import (
     EMPTY,
     INF,
     OctDbm,
+    _fill_diagonal,
     _interface_close,
     _strengthen,
     dbm_box,
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
     oct_close,
 )
-from .errors import BadIndex, DimensionMismatch, EmptyAbstraction
+from .errors import BadIndex, DimensionMismatch, EmptyAbstraction, InvalidDomain, TropReluError
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .layers import (
     AffineLayer,
@@ -232,7 +242,8 @@ def relu_external(
 
 
 def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
-    """Append y_i = max(0, h_i) to a closed zone M (slot 0 the constant).
+    """Append y_i = max(0, h_i) to a closed zone M (slot 0 the constant),
+    or to each zone of a stack.
 
     Every new entry is a sup over the zone.  A max's sup is the max of the
     sups: M[y, v] = max(M[0, v], M[h, v]).  Either half of the zone split at
@@ -241,16 +252,16 @@ def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
     for v = 0 and v = h_i.  A matrix of sups is closed as it stands.
     """
     m = zone.entries
-    n1 = m.shape[0]
+    n1 = m.shape[-1]
     hs = np.asarray(h_vars, dtype=int) + 1
-    e = np.empty((n1 + len(hs), n1 + len(hs)))
-    e[:n1, :n1] = m
-    e[n1:, :n1] = np.maximum(m[0], m[hs])
-    e[:n1, n1:] = np.minimum(m[:, [0]], m[:, hs])
-    e[n1:, n1:] = np.maximum(
-        np.minimum(0.0, m[0, hs]), np.minimum(m[hs, 0][:, None], m[np.ix_(hs, hs)])
-    )
-    np.fill_diagonal(e, 0.0)
+    e = np.empty(m.shape[:-2] + (n1 + len(hs), n1 + len(hs)))
+    e[..., :n1, :n1] = m
+    np.maximum(m[..., :1, :], m[..., hs, :], out=e[..., n1:, :n1])
+    np.minimum(m[..., :, :1], m[..., :, hs], out=e[..., :n1, n1:])
+    yy = e[..., n1:, n1:]
+    np.minimum(m[..., hs, 0][..., :, None], m[..., hs[:, None], hs], out=yy)
+    np.maximum(np.minimum(0.0, m[..., 0, hs])[..., None, :], yy, out=yy)
+    _fill_diagonal(e, 0.0)
     return Dbm(e, closed=True)
 
 
@@ -339,7 +350,8 @@ class AnalysisResult:
     n_inputs: int
     n_outputs: int
     diagnostics: dict = field(default_factory=dict)
-    cells: list = field(default_factory=list)  # (cell Box, closed cell Dbm) per grid cell
+    # a grid's cell corners lo, hi (C, m) and closed cell zones (C, s, s)
+    _cell_stack: Optional[tuple] = field(default=None, repr=False, compare=False)
     # (closed pre-activation zone, ReLU slots, kept slots) per analysed box
     _gen_parts: list = field(default_factory=list, repr=False, compare=False)
     _eps: float = field(default=DEFAULT_EPS, repr=False, compare=False)
@@ -356,6 +368,14 @@ class AnalysisResult:
             points.append(np.hstack([g, np.maximum(g[:, relu_vars], 0.0)])[:, sel])
         return extreme_filter(TropInternal(np.vstack(points)), eps=self._eps)
 
+    @cached_property
+    def cells(self) -> list:
+        """(cell Box, closed cell Dbm) per grid cell; empty without a grid."""
+        if self._cell_stack is None:
+            return []
+        lo, hi, zones = self._cell_stack
+        return [(Box(l, h), Dbm(z, closed=True)) for l, h, z in zip(lo, hi, zones)]
+
     @property
     def input_slots(self) -> list:
         return [i for i, (s, _) in enumerate(self.var_map) if s == 0]
@@ -368,64 +388,124 @@ class AnalysisResult:
 
 def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOptions()) -> AnalysisResult:
     """Propagate the input box through the network (see module docstring)."""
-    if in_box.dim != net.n_inputs:
+    if in_box.lo.ndim != 1 or in_box.dim != net.n_inputs:
         raise DimensionMismatch("input box does not match network inputs")
     if options.subdiv is not None:
-        return _analyze_cellwise_union(net, options)
+        return _analyze_cellwise_union(net, in_box, options)
     res, layers = _analyze_single(net, in_box, options)
     if options.mode is ChainMode.EXTERNAL:
         res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(net, layers)
     return res
 
 
-def _analyze_cellwise_union(net: Network, options: AnalysisOptions) -> AnalysisResult:
+# most floats one stacked matrix of the cell engine may hold: cells are
+# analysed in chunks small enough for that (32 MB)
+_CELL_FLOATS = 1 << 22
+
+
+def _cell_floats(net: Network, track_all: bool) -> int:
+    """Floats of the largest matrix the layer loop builds for one cell: a
+    layer's meet with its ReLU copies appended."""
+    largest = 1
+    for li in range(net.n_layers):
+        hidden = sum(net.sizes[1:li]) if track_all else 0
+        n_old = net.n_inputs + hidden + (net.sizes[li] if li else 0)
+        largest = max(largest, (1 + n_old + 2 * net.sizes[li + 1]) ** 2)
+    return largest
+
+
+def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions) -> AnalysisResult:
     """Analyse every cell of ``options.subdiv`` once and join the cells.
 
-    The zone is the entrywise max of the closed cell zones (a join of closed
-    DBMs is closed) and each stage's bounds the hull of the cells' stage
-    boxes.  ``cells`` keeps each cell's box and zone for the per-cell checks
-    of ``speccheck.check``.  Each cell's pre-activation zone is kept too:
-    the cell's generators are tighter than its zone, so ``internal`` is
-    their union, built when first read.
+    The cells go through the layer loop stacked, a chunk of them at a time
+    (``_analyze_chunk``).  The zone is the entrywise max of the closed cell
+    zones (a join of closed DBMs is closed) and each stage's bounds the
+    hull of the cells' stage boxes.  ``cells`` and the stacked form that
+    ``speccheck.check`` reads keep each cell's box and zone.  Each cell's
+    pre-activation zone is kept too: the cell's generators are tighter
+    than its zone, so ``internal`` is their union, built when first read.
     """
     grid = options.subdiv
+    if grid.dim != net.n_inputs:
+        raise DimensionMismatch(f"the grid has {grid.dim} inputs, the network {net.n_inputs}")
+    outer = grid.box
+    if (outer.lo < in_box.lo - options.eps).any() or (outer.hi > in_box.hi + options.eps).any():
+        raise InvalidDomain("the grid reaches outside the input box")
     check_cell_budget(grid.n_cells)
     cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
-    cells = []
-    gen_parts = []
-    for cell in grid.cells():
-        res, _ = _analyze_single(net, cell, cell_opts)
-        gen_parts += res._gen_parts
-        if not cells:
-            zentries, bounds = res.zone.entries.copy(), res.bounds
-        else:
-            np.maximum(zentries, res.zone.entries, out=zentries)
-            bounds = [
-                Box(np.minimum(a.lo, b.lo), np.maximum(a.hi, b.hi))
-                for a, b in zip(bounds, res.bounds)
-            ]
-        cells.append((cell, res.zone))
+    lo, hi = grid.cell_bounds()
+    step = max(1, _CELL_FLOATS // _cell_floats(net, options.track_all))
+    parts = [
+        _analyze_chunk(net, lo[i : i + step], hi[i : i + step], cell_opts)
+        for i in range(0, len(lo), step)
+    ]
+    zones = np.concatenate([r.zone.entries for r in parts])
+    bounds = []
+    for s in range(len(parts[0].bounds)):
+        stage_lo = np.concatenate([r.bounds[s].lo for r in parts])
+        stage_hi = np.concatenate([r.bounds[s].hi for r in parts])
+        bounds.append(Box(stage_lo.min(axis=0), stage_hi.max(axis=0)))
     return AnalysisResult(
-        var_map=res.var_map,
-        zone=Dbm(zentries, closed=True),
+        var_map=parts[0].var_map,
+        zone=Dbm(zones.max(axis=0), closed=True),
         bounds=bounds,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
         diagnostics={
             "mode": options.mode.value,
             "domain": options.domain.value,
-            "cells": len(cells),
+            "cells": len(zones),
             "seconds": time.perf_counter() - t0,
         },
-        cells=cells,
-        _gen_parts=gen_parts,
+        _cell_stack=(lo, hi, zones),
+        _gen_parts=[
+            (Dbm(pre, closed=True), relu_vars, sel)
+            for r in parts
+            for stack, relu_vars, sel in r._gen_parts
+            for pre in stack.entries
+        ],
         _eps=options.eps,
     )
 
 
+def _analyze_chunk(net: Network, lo: np.ndarray, hi: np.ndarray, options: AnalysisOptions) -> AnalysisResult:
+    """The layer loop over the cells with corners ``lo``, ``hi`` (C, m): its
+    result with every zone and stage box stacked over the cells.
+
+    In the zone domain the cells pass through the loop together.  The
+    octagon chain takes one box, so there each cell passes alone and the
+    cells' results are stacked.
+    """
+    if options.domain is AbsDomain.OCTAGON:
+        each = [_analyze_single(net, Box(l, h), options)[0] for l, h in zip(lo, hi)]
+        first = each[0]
+        relu_vars, sel = first._gen_parts[0][1:]
+        pre = np.stack([r._gen_parts[0][0].entries for r in each])
+        return replace(
+            first,
+            zone=Dbm(np.stack([r.zone.entries for r in each]), closed=True),
+            bounds=[
+                Box(np.stack([r.bounds[s].lo for r in each]), np.stack([r.bounds[s].hi for r in each]))
+                for s in range(len(first.bounds))
+            ],
+            _gen_parts=[(Dbm(pre, closed=True), relu_vars, sel)],
+        )
+    try:
+        return _analyze_single(net, Box(lo, hi), options)[0]
+    except TropReluError:
+        # raise what analysing the cells one by one raises: the error of
+        # the first cell that fails, not of the first layer where one does
+        for l, h in zip(lo, hi):
+            _analyze_single(net, Box(l, h), options)
+        raise
+
+
 def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
-    """One pass of the layer loop over ``in_box``.
+    """One pass of the layer loop over ``in_box``: one box, or in the zone
+    domain a stack of cell boxes (lo, hi of shape (C, m)), whose zones and
+    stage boxes then carry the same leading axis.  Each cell's arithmetic
+    is the same as alone.
 
     Returns the result and the (layer, zone constants) pairs, from which
     ``analyze`` builds the external system of an unsubdivided run.
@@ -489,6 +569,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
                     ),
                 }
             )
+        del big  # the largest matrix of the step; free before the next one
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
     diag = {

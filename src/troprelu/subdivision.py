@@ -77,12 +77,19 @@ class SubdivisionGrid:
             out *= c.shape[0] - 1
         return out
 
+    def cell_bounds(self):
+        """Lower and upper corners of all grid cells, arrays of shape
+        (n_cells, dim), in lexicographic order (the last input fastest)."""
+        lo = np.meshgrid(*[c[:-1] for c in self.cuts], indexing="ij")
+        hi = np.meshgrid(*[c[1:] for c in self.cuts], indexing="ij")
+        return (
+            np.stack([g.reshape(-1) for g in lo], axis=-1),
+            np.stack([g.reshape(-1) for g in hi], axis=-1),
+        )
+
     def cells(self):
-        """All grid cells as boxes, in lexicographic order."""
-        ranges = [range(c.shape[0] - 1) for c in self.cuts]
-        for idx in itertools.product(*ranges):
-            lo = [self.cuts[d][i] for d, i in enumerate(idx)]
-            hi = [self.cuts[d][i + 1] for d, i in enumerate(idx)]
+        """All grid cells as boxes, in the order of ``cell_bounds``."""
+        for lo, hi in zip(*self.cell_bounds()):
             yield Box(lo, hi)
 
     @staticmethod
