@@ -280,37 +280,39 @@ def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
     raise EmptyAbstraction("octagon abstraction of a nonempty box came out empty")
 
 
-def _oct_entries(k: OctAbsConstants, layer: AffineLayer) -> np.ndarray:
-    """Raw coherent doubled matrix of the tight octagon (see ``oct_dbm``).
+def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False) -> np.ndarray:
+    """Raw coherent doubled matrix of the tight octagon, slots (+x, +y, -x, -y)
+    as in ``oct_dbm``, or (+x, -x, +y, -y) with ``interface``.
 
     Every entry is the exact sup of the corresponding +-combination over
     the graph, so a caller that meets it with another octagon and closes
     the meet gets the same closure as with ``oct_dbm`` and saves a pass.
     """
     m = layer.n_inputs
-    n = layer.n_outputs
-    z = k.zone
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
-    dim = m + n
-    plus = np.empty((dim, dim))
-    xs = slice(0, m)
-    ys = slice(m, dim)
-    plus[xs, xs] = hi[:, None] - lo[None, :]
-    plus[ys, ys] = z.diff
-    plus[ys, xs] = z.out_hi[:, None] - lo[None, :] - z.slack
-    plus[xs, ys] = (hi[:, None] - z.out_lo[None, :]) - z.slack.T
-    mixed_hi = np.empty((dim, dim))  # sup of v_i + v_j
-    mixed_hi[xs, xs] = hi[:, None] + hi[None, :]
-    mixed_hi[ys, ys] = k.sum_hi
-    mixed_hi[ys, xs] = z.out_hi[:, None] + hi[None, :] - k.sum_slack
-    mixed_hi[xs, ys] = (hi[:, None] + z.out_hi[None, :]) - k.sum_slack.T
-    mixed_lo = np.empty((dim, dim))  # sup of -(v_i + v_j)
-    mixed_lo[xs, xs] = -(lo[:, None] + lo[None, :])
-    mixed_lo[ys, ys] = -k.sum_lo
-    mixed_lo[ys, xs] = -(z.out_lo[:, None] + lo[None, :] + k.sum_slack)
-    mixed_lo[xs, ys] = -((lo[:, None] + z.out_lo[None, :]) + k.sum_slack.T)
-    e = np.block([[plus, mixed_hi], [mixed_lo, plus.T]])
+    dim = m + layer.n_outputs
+    z, lo, hi = k.zone, layer.in_box.lo, layer.in_box.hi
+    first = (0, 2 * m, m, m + dim) if interface else (0, m, dim, dim + m)  # of +x, +y, -x, -y
+    px, py, mx, my = (slice(f, f + w) for f, w in zip(first, (m, dim - m) * 2))
+    e = np.empty((2 * dim, 2 * dim))
+    # sup of v_j - v_i at (+i, +j), and at (-j, -i)
+    e[px, px] = hi[:, None] - lo[None, :]
+    e[py, py] = z.diff
+    e[py, px] = z.out_hi[:, None] - lo[None, :] - z.slack
+    e[px, py] = (hi[:, None] - z.out_lo[None, :]) - z.slack.T
+    e[mx, mx] = e[px, px].T
+    e[my, my] = e[py, py].T
+    e[mx, my] = e[py, px].T
+    e[my, mx] = e[px, py].T
+    # sup of v_i + v_j at (+i, -j)
+    e[px, mx] = hi[:, None] + hi[None, :]
+    e[py, my] = k.sum_hi
+    e[py, mx] = z.out_hi[:, None] + hi[None, :] - k.sum_slack
+    e[px, my] = (hi[:, None] + z.out_hi[None, :]) - k.sum_slack.T
+    # sup of -(v_i + v_j) at (-i, +j)
+    e[mx, px] = -(lo[:, None] + lo[None, :])
+    e[my, py] = -k.sum_lo
+    e[my, px] = -(z.out_lo[:, None] + lo[None, :] + k.sum_slack)
+    e[mx, py] = -((lo[:, None] + z.out_lo[None, :]) + k.sum_slack.T)
     np.fill_diagonal(e, 0.0)
     return e
 

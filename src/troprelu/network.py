@@ -642,13 +642,10 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     n_new = layer.n_outputs
     n_old = oct_zone.dim
     n_pre = n_old + n_new
-    n_cur = len(cur)
     cur = np.asarray(cur, dtype=int)
     # the raw octagon's entries are exact sups, so it is closed as it
-    # stands; its slots (+cur, +h, -cur, -h) reordered to (+-cur, +-h)
-    n_l = n_cur + n_new
-    order = np.r_[0:n_cur, n_l : n_l + n_cur, n_cur:n_l, n_l + n_cur : 2 * n_l]
-    b = _oct_entries(k_oct, layer)[np.ix_(order, order)]
+    # stands; its slots come in the interface order (+-cur, +-h)
+    b = _oct_entries(k_oct, layer, interface=True)
     e = _interface_close(oct_zone.entries, np.concatenate([cur, cur + n_old]), b, eps)
     if e is not None:
         # (+old, -old, +h, -h) back to the doubled order (+old, +h, -old, -h)

@@ -7,12 +7,18 @@ bounds the minimum below by -sum f * m (weak duality); the cheapest attains
 it.  On a closed DBM every entry is already a shortest path, so the flow
 goes straight from the sources (b > 0) to the sinks (b < 0): a
 transportation problem.  One source or one sink forces the flow; otherwise
-successive shortest paths ship along the cheapest residual path.  A sink
-that no finite path reaches makes the minimum -inf, exactly.  The value
-returned is -sum f * m of the final flow; the one tolerance, on label
-relaxations, only keeps rounding from cycling the path search.  When the
-sum of the coefficients or the final cost leaves the float range, the
-value is -inf, which is still a lower bound.
+successive shortest paths ship it under reduced-cost potentials kept across
+augmentations (sinks start at their column minima, sources with supply left
+stay at 0).  A free phase ships straight to each sink with demand from its
+cheapest source with supply while that arc's reduced cost is <= 0, with no
+search.  Only then does a Dijkstra run over the sinks and the sources
+reached back through flow arcs; it stops at the first sink with demand it
+settles (going on past it while only that demand ran out), and potentials
+rise by min(d, d_end).  A sink that no finite path reaches makes the
+minimum -inf, exactly.  The value is -sum f * m of the final flow, which
+ships the supplies whatever the paths: the bound rests on weak duality, not
+on optimality.  When the sum of the coefficients or the final cost leaves
+the float range, the value is -inf, which is still a lower bound.
 """
 
 from __future__ import annotations
@@ -48,66 +54,101 @@ def minimize_over_dbm(objective: np.ndarray, entries: np.ndarray) -> float:
 
 
 def _transport(cost: list, sup: list, dem: list) -> float:
-    """Successive shortest paths; -(cost of the final flow), or -inf when
-    some demand cannot be reached.
-
-    A path search labels each sink with its cheapest source with supply
-    left (label 0), then corrects labels through the flow: a source already
-    shipping to a sink is reached from it at minus the arc cost, and its
-    row relaxes the sinks again.  Every augmentation empties a source, a
-    sink or a flow arc, and supplies only shrink.
-    """
-    n_s, n_t = len(sup), len(dem)
+    """-(cost of the final flow), or -inf when some demand cannot be reached.
+    Every augmentation empties a source, a sink or a flow arc."""
+    n_s = len(sup)
     cols = list(zip(*cost))
+    pot = [min(col) for col in cols]  # sink potentials
+    if INF in pot:
+        return -INF  # no finite arc enters that sink
     order = [sorted(range(n_s), key=col.__getitem__, reverse=True) for col in cols]
-    tol = 1e-12 * (1.0 + max((abs(c) for row in cost for c in row if c < INF), default=0.0))
-    flow = {}  # (source, sink) -> positive amount
-    into = [set() for _ in range(n_t)]  # the sources shipping to each sink
+    src_pot = [0.0] * n_s
+    into = [{} for _ in cols]  # into[t][i]: the flow from source i to sink t
     while True:
-        for rank in order:  # each sink's sources, dearest first
+        for t, (rank, col, got, pj) in enumerate(zip(order, cols, into, pot)):  # free phase
+            while dem[t] > 0:
+                while not sup[rank[-1]] > 0:
+                    rank.pop()
+                i = rank[-1]
+                if col[i] > pj:
+                    break
+                delta = min(sup[i], dem[t])
+                sup[i] -= delta
+                dem[t] -= delta
+                got[i] = got.get(i, 0.0) + delta
+                if not sup[i] > 0 and not max(sup) > 0:
+                    return _flow_value(cost, into)
+        if not max(dem) > 0:
+            return _flow_value(cost, into)
+        for rank in order:
             while not sup[rank[-1]] > 0:
                 rank.pop()
         pt = [rank[-1] for rank in order]  # the source each sink is reached from
-        dt = [col[i] for col, i in zip(cols, pt)]
-        ds = [0.0 if s > 0 else INF for s in sup]
+        lab = [col[i] for col, i in zip(cols, pt)]  # label + potential
+        key = [a - p for a, p in zip(lab, pot)]  # label of each unsettled sink
+        reach = [0.0 if s > 0 else INF for s in sup]  # label + potential of the sources
         ps = [-1] * n_s  # the sink each source is reached from, if any
-        queue = [j for j in range(n_t) if into[j]]
-        while queue:
-            j = queue.pop()
-            for i in into[j]:
-                di = dt[j] - cost[i][j]
-                if not di < ds[i] - tol:
-                    continue
-                ds[i], ps[i] = di, j
-                for t, c in enumerate(cost[i]):
-                    if di + c < dt[t] - tol:
-                        dt[t], pt[t] = di + c, i
-                        if into[t] and t not in queue:
-                            queue.append(t)
-        end = min((j for j in range(n_t) if dem[j] > 0), key=dt.__getitem__)
-        if dt[end] == INF:
-            return -INF
-        fwd, back, j = [], [], end
-        while j >= 0:
-            i = pt[j]
-            fwd.append((i, j))
-            j = ps[i]
-            if j >= 0:
+        while True:
+            end, d = _search(cost, dem, pot, src_pot, into, pt, lab, key, reach, ps)
+            if end < 0:
+                return -INF
+            i = pt[end]
+            fwd, back = [(i, end)], []  # (source, sink) arcs to fill and to cut
+            while ps[i] >= 0:
+                j = ps[i]
                 back.append((i, j))
-        root = fwd[-1][0]
-        delta = min([sup[root], dem[end]] + [flow[arc] for arc in back])
-        sup[root] -= delta
-        dem[end] -= delta
-        for i, j in fwd:
-            flow[i, j] = flow.get((i, j), 0.0) + delta
-            into[j].add(i)
-        for i, j in back:
-            flow[i, j] -= delta
-            if not flow[i, j] > 0:
-                del flow[i, j]
-                into[j].discard(i)
-        if not (any(s > 0 for s in sup) and any(d > 0 for d in dem)):
-            return _neg_sum([f * cost[i][j] for (i, j), f in flow.items()])
+                i = pt[j]
+                fwd.append((i, j))
+            caps = [sup[i]] + [into[j][k] for k, j in back]
+            delta = min(caps + [dem[end]])
+            sup[i] -= delta
+            dem[end] -= delta
+            for k, j in fwd:
+                into[j][k] = into[j].get(k, 0.0) + delta
+            for k, j in back:
+                into[j][k] -= delta
+                if not into[j][k] > 0:
+                    del into[j][k]
+            if not (max(sup) > 0 and max(dem) > 0):
+                return _flow_value(cost, into)
+            if not delta < min(caps):
+                break
+            key[end] = d  # only the sink's demand ran out: the tree stands, search on
+        pot = [p + d if k < INF or a == INF else a for a, p, k in zip(lab, pot, key)]
+        src_pot = [r if r < INF else q + d for q, r in zip(src_pot, reach)]
+
+
+def _search(cost, dem, pot, src_pot, into, pt, lab, key, reach, ps) -> tuple:
+    """Dijkstra on reduced costs from the sources with supply: (the first sink
+    with demand to settle, its label), or (-1, inf) when none is reached."""
+    while True:
+        d = min(key)
+        if d == INF:
+            return -1, d
+        j = key.index(d)
+        key[j] = INF
+        if dem[j] > 0:
+            return j, d
+        end = -1
+        for i in into[j]:
+            if reach[i] < INF:
+                continue
+            qi = reach[i] = src_pot[i] + d
+            ps[i] = j
+            for t, c in enumerate(cost[i]):
+                v = c + qi
+                if v < lab[t] and (key[t] < INF or lab[t] == INF):  # unsettled (settled: inf key, finite label)
+                    lab[t], pt[t] = v, i
+                    key[t] = v - pot[t]
+                    if key[t] <= d and dem[t] > 0:  # no label lies below d
+                        end = t
+        if end >= 0:
+            key[end] = INF
+            return end, d
+
+
+def _flow_value(cost: list, into: list) -> float:
+    return _neg_sum([f * cost[i][t] for t, got in enumerate(into) for i, f in got.items()])
 
 
 def _neg_sum(terms: list) -> float:
