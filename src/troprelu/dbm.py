@@ -17,8 +17,15 @@ up as a negative diagonal entry during closure and is returned as the
 The meet of two closed matrices that share only a few slots (a carried
 zone and one layer's zone, which share the constant slot and the layer's
 inputs) is closed by ``_interface_close``: min-plus products through the
-shared slots, no Floyd-Warshall pass.  ``dbm_close`` and ``oct_close``
-close everything else.
+shared slots, no Floyd-Warshall pass.  When the carried matrix factors
+through the constant slot, a[i, j] = a[i, 0] + a[0, j] off the diagonal
+(a box: every first layer, and every layer in box and external mode),
+every path through it can go by slot 0, so the meet takes two thin
+products, one row and one column, in place of three dense ones.  The
+diagonal does not factor, so the shared slots' own rows and columns also
+take the layer's direct bounds.  The test is exact, bit for bit, and made
+for each matrix of a stack, so a stacked cell takes the path it takes
+alone.  ``dbm_close`` and ``oct_close`` close everything else.
 
 A ``Box`` and a ``Dbm`` may carry leading axes, one box or matrix per
 grid cell: lo and hi of shape (C, n), entries of shape (C, n+1, n+1).
@@ -478,23 +485,96 @@ def _interface_close(
     A path of the meet alternates between a-edges and b-edges, and
     consecutive edges on one closed side collapse into one.  A detour
     through Y between two C slots is a b-path, never shorter than a's edge,
-    so a shortest path needs at most one C hop on each side of Y.  Returns
-    None if a cycle through Y weighs less than -eps (in any pair of a
-    stack); a diagonal entry within eps of 0 is set to 0.
+    so a shortest path needs at most one C hop on each side of Y.
+
+    If slot 0 is in C and a factors through it, a[i, j] == a[i, 0] + a[0, j]
+    bit for bit on every off-diagonal entry (a box, as ``Box.to_dbm``
+    builds it), every a-edge into C goes by slot 0 and the products
+    collapse to one row and one column (``_factored_meet``):
+
+        row = a[0, C] ⊗ b[C, Y]          col = b[Y, C] ⊗ a[C, 0]
+        E[X∪C, Y] = a[:, 0] + row        E[Y, X∪C] = col + a[0, :]
+        E[Y, Y] = min(b[Y, Y], col + row)
+
+    with the min of b[C, Y] on the rows of C and of b[Y, C] on its
+    columns, since a[c, c] = 0 is the one entry that does not factor.
+    The choice is made per matrix of a stack: a grid mixes factoring and
+    non-factoring cells, and each cell must get the floats it gets alone.
+
+    Returns None if a cycle through Y weighs less than -eps (in any pair of
+    a stack); a diagonal entry within eps of 0 is set to 0.
     """
+    p, k = a.shape[-1], len(c)
+    factors = _factors_through_slot0(a, c)
+    if factors.all():
+        e = _factored_meet(a, c, b)
+    elif not factors.any():
+        e = _dense_meet(a, c, b)
+    else:
+        size = p + b.shape[-1] - k
+        e = np.empty(a.shape[:-2] + (size, size))
+        e[factors] = _factored_meet(a[factors], c, b[factors])
+        e[~factors] = _dense_meet(a[~factors], c, b[~factors])
+    yy = e[..., p:, p:]
+    if (_diagonal(yy) < -eps).any():
+        return None
+    _fill_diagonal(yy, 0.0)
+    return e
+
+
+def _factors_through_slot0(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: slot 0 is in C and a[i, j] == a[i, 0] + a[0, j]
+    bit for bit on every off-diagonal entry."""
+    if not (c == 0).any():
+        return np.zeros(a.shape[:-2], dtype=bool)
+    same = a == a[..., :, :1] + a[..., :1, :]
+    _fill_diagonal(same, True)
+    return same.all(axis=(-2, -1))
+
+
+def _meet_block(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The meet's matrix with its X∪C block filled: a, with the entrywise
+    min of a and b on the C block."""
     p, k = a.shape[-1], len(c)
     size = p + b.shape[-1] - k
     e = np.empty(a.shape[:-2] + (size, size))
     e[..., :p, :p] = a
     cc = (Ellipsis, c[:, None], c)
     e[cc] = np.minimum(a[cc], b[..., :k, :k])
+    return e
+
+
+def _dense_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_interface_close`` before its diagonal check, by three dense
+    min-plus products through C."""
+    p, k = a.shape[-1], len(c)
+    e = _meet_block(a, c, b)
     e[..., :p, p:] = _min_plus(e[..., :p, c], b[..., :k, k:])
     e[..., p:, :p] = _min_plus(b[..., k:, :k], e[..., c, :p])
-    yy = np.minimum(b[..., k:, k:], _min_plus(b[..., k:, :k], e[..., c, p:]))
-    if (_diagonal(yy) < -eps).any():
-        return None
-    _fill_diagonal(yy, 0.0)
-    e[..., p:, p:] = yy
+    e[..., p:, p:] = np.minimum(b[..., k:, k:], _min_plus(b[..., k:, :k], e[..., c, p:]))
+    return e
+
+
+def _factored_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_interface_close`` before its diagonal check, for an ``a`` that
+    factors through slot 0: a one-row and a one-column product.
+
+    The dense E[i, Y] = min_c a[i, c] + b[c, Y] splits into a[i, 0] + row
+    (c != i, a[i, c] = a[i, 0] + a[0, c]) and b[i, Y] (c = i, a[i, i] = 0,
+    only for i in C); E[Y, i] likewise.  In E[Y, Y] the first part gives
+    col + row and the second b[Y, C] ⊗ b[C, Y], a b-path, never below
+    b[Y, Y].
+    """
+    p, k = a.shape[-1], len(c)
+    e = _meet_block(a, c, b)
+    b_cy, b_yc = b[..., :k, k:], b[..., k:, :k]
+    row = _min_plus(a[..., :1, c], b_cy)
+    col = _min_plus(b_yc, a[..., c, :1])
+    e[..., :p, p:] = a[..., :, :1] + row
+    e[..., p:, :p] = col + a[..., :1, :]
+    e[..., c, p:] = np.minimum(e[..., c, p:], b_cy)
+    e[..., p:, c] = np.minimum(e[..., p:, c], b_yc)
+    e[..., p:, p:] = np.minimum(b[..., k:, k:], col + row)
     return e
 
 

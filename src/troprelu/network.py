@@ -14,7 +14,9 @@ every hidden layer.  Per layer it
 2. closes the meet through the slots the two share, slot 0 and the
    current layer (``dbm._interface_close``): min-plus products through
    them, since a shortest path needs one hop through them on each side
-   of h at most;
+   of h at most.  A carried box (the first layer, and every layer in box
+   and external mode) factors through slot 0, and its meet takes one
+   row and one column product instead;
 3. appends y = max(0, h) (``_relu_append``), each entry of the image's
    tightest zone a max or min of closed entries, and keeps the tracked slots.
 
