@@ -29,7 +29,7 @@ import numpy as np
 
 from .dbm import Box
 from .errors import BadIndex, InvalidInterval, TropReluError
-from .maxplus import DEFAULT_EPS
+from .maxplus import DEFAULT_EPS, check_eps
 from .network import (
     AbsDomain,
     AnalysisOptions,
@@ -240,8 +240,7 @@ def run_cli(argv=None) -> int:
     args = make_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if not np.isfinite(args.eps) or args.eps < 0:
-            raise TropReluError(f"--eps must be a finite number >= 0, got {args.eps}")
+        check_eps(args.eps, "--eps")
         net = parse_sherlock(args.network, final_relu=not args.no_final_relu)
         in_box, assertions = load_spec_file(args.spec, net.n_inputs, net.n_outputs)
         grid = None

@@ -241,13 +241,6 @@ def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
     return Dbm(m, closed=True)
 
 
-def dbm_intersect(a: Dbm, b: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
-    """Entrywise min followed by closure (zone intersection)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"cannot intersect DBMs of dims {a.dim} and {b.dim}")
-    return dbm_close(Dbm(np.minimum(a.entries, b.entries)), eps=eps)
-
-
 def dbm_box(d: Dbm) -> Box:
     """Extract per-variable bounds from a closed, nonempty DBM."""
     if not d.closed:

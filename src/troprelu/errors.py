@@ -39,16 +39,20 @@ class InvalidInterval(TropReluError):
     """An interval [a, b] with a > b or non-finite endpoints."""
 
 
+class InvalidTolerance(TropReluError):
+    """A comparison tolerance eps is negative, infinite or not a number."""
+
+
 class BadIndex(TropReluError):
     """A coordinate / dimension index is out of range."""
 
 
 class InvalidDomain(TropReluError):
-    """A scalar domain [a, b] is degenerate or reversed."""
+    """A subdivision grid is malformed or does not fit its layer or box."""
 
 
 class CellBudgetExceeded(TropReluError):
-    """A subdivision grid has more cells than the configured budget."""
+    """A subdivision grid has more cells than ``subdivision.CELL_BUDGET``."""
 
 
 class EmptyAbstraction(TropReluError):

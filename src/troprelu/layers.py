@@ -45,7 +45,7 @@ import numpy as np
 from .dbm import Box, Dbm, OctDbm, _fill_diagonal, oct_close
 from .errors import DimensionMismatch, EmptyAbstraction
 from .maxplus import BOTTOM, DEFAULT_EPS
-from .tropical import TropExternal, TropInternal, extreme_filter, zone_to_internal
+from .tropical import TropExternal, TropInternal, extreme_filter
 
 # floats in one row block of ``_pair_widths``' temporary: 256 KB, small
 # enough for the three passes over it to stay in cache
@@ -315,66 +315,3 @@ def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False
     e[mx, py] = -((lo[:, None] + z.out_lo[None, :]) + k.sum_slack.T)
     np.fill_diagonal(e, 0.0)
     return e
-
-
-def oct_internal(
-    k: OctAbsConstants, layer: AffineLayer, eps: float = DEFAULT_EPS
-) -> TropInternal:
-    """Extreme points of the doubled-space octagon zone.
-
-    The doubled octagon is itself a (bounded) zone over 2(m+n) variables,
-    so its generator form follows from the zone-to-generators conversion;
-    ``oct_internal_direct`` cross-checks the closed-form coordinates.
-    """
-    return zone_to_internal(oct_dbm(k, layer).to_bounded_dbm(), eps=eps)
-
-
-def oct_internal_direct(
-    k: OctAbsConstants, layer: AffineLayer, eps: float = DEFAULT_EPS
-) -> TropInternal:
-    """Closed-form doubled-space extreme points, one per doubled variable.
-
-    The lower corner plus one point per doubled slot, each placing that
-    slot at its maximum with every other coordinate as low as the octagon
-    allows.  Coordinates mirror the zone case, with sum slacks playing the
-    role of difference slacks on the negated copies.
-    """
-    m = layer.n_inputs
-    n = layer.n_outputs
-    z = k.zone
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
-    cov = z.covertex
-    pts = []
-    pts.append(np.concatenate([lo, z.out_lo, -hi, -z.out_hi]))
-    for j in range(m):  # +x_j at its max
-        x = lo.copy()
-        x[j] = hi[j]
-        pts.append(
-            np.concatenate(
-                [x, z.out_lo + z.slack[:, j], -hi, -z.out_hi + k.sum_slack[:, j]]
-            )
-        )
-    for i in range(n):  # +y_i at its max
-        # diagonal works out automatically: sum_hi[i, i] = 2 out_hi[i]
-        ym = z.out_hi[i] - k.sum_hi[i, :]
-        pts.append(
-            np.concatenate(
-                [lo + z.slack[i, :], cov[i, :], -hi + k.sum_slack[i, :], ym]
-            )
-        )
-    for j in range(m):  # -x_j at its max (x_j at its min)
-        xm = -hi.copy()
-        xm[j] = -lo[j]
-        pts.append(
-            np.concatenate(
-                [lo, z.out_lo + k.sum_slack[:, j], xm, -z.out_hi + z.slack[:, j]]
-            )
-        )
-    for i in range(n):  # -y_i at its max (y_i at its min)
-        yp = k.sum_lo[i, :] - z.out_lo[i]  # diagonal: 2 out_lo[i] - out_lo[i]
-        ym = -z.out_lo[i] - z.diff[:, i]
-        pts.append(
-            np.concatenate([lo + k.sum_slack[i, :], yp, -hi + z.slack[i, :], ym])
-        )
-    return extreme_filter(TropInternal(np.vstack(pts)), eps=eps)

@@ -88,7 +88,7 @@ from .dbm import (
     oct_close,
 )
 from .errors import BadIndex, DimensionMismatch, EmptyAbstraction, InvalidDomain, TropReluError
-from .maxplus import BOTTOM, DEFAULT_EPS
+from .maxplus import BOTTOM, DEFAULT_EPS, check_eps
 from .layers import (
     AffineLayer,
     ZoneAbsConstants,
@@ -178,18 +178,6 @@ class Network:
                 v = np.maximum(v, 0.0)
             out.append(v)
         return out
-
-
-def relu_internal(
-    poly: TropInternal, coords: Sequence[int], eps: float = DEFAULT_EPS
-) -> TropInternal:
-    """Clamp the selected coordinates of every generator at 0 (exact)."""
-    coords = list(coords)
-    if any(c < 0 or c >= poly.dim for c in coords):
-        raise BadIndex("ReLU coordinate out of range")
-    g = poly.generators.copy()
-    g[:, coords] = np.maximum(g[:, coords], 0.0)
-    return extreme_filter(TropInternal(g), eps=eps)
 
 
 def relu_extend(
@@ -335,6 +323,9 @@ class AnalysisOptions:
     subdiv: Optional[SubdivisionGrid] = None
     eps: float = DEFAULT_EPS
     keep_layer_records: bool = True
+
+    def __post_init__(self):
+        check_eps(self.eps)
 
 
 @dataclass
@@ -516,9 +507,11 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     t0 = time.perf_counter()
     var_map = [(0, j) for j in range(net.n_inputs)]
     zone = in_box.to_dbm()
+    full = in_box  # bounds of every carried slot, read off the carried matrix
     oct_zone = None
     if options.mode is ChainMode.ZONE and options.domain is AbsDomain.OCTAGON:
         oct_zone = _oct_from_box(in_box)
+        full = oct_zone.box()
     stage_boxes = [in_box]
     layers = []
     records = []
@@ -527,13 +520,9 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         act = net.has_relu(li)
         n_old = len(var_map)
         cur = [i for i, (s, _) in enumerate(var_map) if s == li]
-        if oct_zone is not None:
-            full = oct_zone.box()
-            cur_box = Box(full.lo[cur], full.hi[cur])
-        else:
-            if options.mode is not ChainMode.ZONE:
-                zone = dbm_box(zone).to_dbm()
-            cur_box = dbm_box(zone.slice([i + 1 for i in cur]))
+        if options.mode is not ChainMode.ZONE:
+            zone = full.to_dbm()
+        cur_box = Box(full.lo[..., cur], full.hi[..., cur])
         layer = AffineLayer(net.weights[li], net.biases[li], cur_box)
         k_oct = oct_constants(layer) if oct_zone is not None else None
         k = zone_constants(layer) if k_oct is None else k_oct.zone
@@ -551,7 +540,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
             pre_zone = _layer_zone(zone, cur, layer, k, eps)
             big = _relu_append(pre_zone, pre) if act else pre_zone
             zone = big.slice([i + 1 for i in sel])
-        stage_box = dbm_box(zone.slice(range(len(kept) + 1, len(sel) + 1)))
+        full = dbm_box(zone)
+        stage_box = Box(full.lo[..., len(kept) :], full.hi[..., len(kept) :])
         stage_boxes.append(stage_box)
         if options.keep_layer_records:
             keys = list(var_map) + [("pre", j) for j in range(n_new)]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dbm import Box, Dbm, EMPTY, _fill_diagonal, _shortest_paths, dbm_close, embed_dbm
 from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
-from .maxplus import DEFAULT_EPS
+from .maxplus import DEFAULT_EPS, check_eps
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
 from .simplex import minimize_over_dbm
 from .subdivision import SubdivisionGrid
@@ -161,8 +161,10 @@ def check(a: LinearAssertion, result: AnalysisResult, eps: float = DEFAULT_EPS) 
     On a subdivided result (``result.cells`` non-empty) the minimum is taken
     per cell: cells disjoint from the restriction are skipped, each other
     cell's LP is restricted to the cell met with the restriction, and the
-    witness is the least cell minimum.
+    witness is the least cell minimum.  Raises InvalidTolerance unless
+    ``eps`` is a finite number >= 0.
     """
+    check_eps(eps)
     obj = _objective_of(a, result)
     if result._cell_stack is not None:
         minima = _cell_minima(a, result, obj, eps)

@@ -1,11 +1,6 @@
 """Refinement of layer abstractions by partitioning the input box.
 
-Three mechanisms, all sound:
-
-* scalar case (one input, one output): with cut points a = c_0 < .. < c_N = b
-  the union of per-interval zone hulls has an explicit description: the
-  base rows plus one extra row per interior cut, picked by the slope case,
-  and at most N + 2 extreme points.
+Two mechanisms, both sound:
 
 * general case (``subdivide_constraints``): extra external rows valid for
   the whole graph, one family per interior cut (per input/output pair,
@@ -14,12 +9,12 @@ Three mechanisms, all sound:
   rows; the network analysis does not use them, since a grid there always
   means the cell-wise analysis below.
 
-* cell-wise analysis: abstract the layer over every grid cell separately
-  and return the tropical hull of the union.  Precision grows with the
-  grid; the hull of a union of per-cell hulls over a refined grid is never
-  larger than over a coarser one.  ``network.analyze`` runs the whole
-  network this way.  Either cell loop first checks the grid against
-  ``CELL_BUDGET`` (``check_cell_budget``).
+* cell-wise analysis: ``network.analyze`` with a ``SubdivisionGrid``
+  analyses the whole network over every grid cell separately and joins
+  the cells.  Precision grows with the grid: when each cell of a grid
+  lies inside a cell of a coarser one, its zone is never larger.  The one
+  cell loop first checks the grid against ``CELL_BUDGET``
+  (``check_cell_budget``).
 """
 
 from __future__ import annotations
@@ -32,19 +27,20 @@ import numpy as np
 
 from .dbm import Box
 from .errors import CellBudgetExceeded, InvalidDomain
-from .maxplus import BOTTOM, DEFAULT_EPS
-from .tropical import TropExternal, TropInternal, extreme_filter
-from .layers import AffineLayer, zone_constants, zone_external, zone_internal
+from .maxplus import BOTTOM
+from .tropical import TropExternal
+from .layers import AffineLayer, zone_constants
 
 
 CELL_BUDGET = 1024  # most grid cells one analysis may run
 MAX_GROUP = 2  # largest output subset used for the group rows
 
 
-def check_cell_budget(n_cells: int, budget: int = CELL_BUDGET) -> None:
-    """Raise CellBudgetExceeded when a grid of ``n_cells`` cells is too big."""
-    if n_cells > budget:
-        raise CellBudgetExceeded(f"{n_cells} cells exceed the budget of {budget}")
+def check_cell_budget(n_cells: int) -> None:
+    """Raise CellBudgetExceeded when a grid of ``n_cells`` cells exceeds
+    ``CELL_BUDGET``."""
+    if n_cells > CELL_BUDGET:
+        raise CellBudgetExceeded(f"{n_cells} cells exceed the budget of {CELL_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -105,80 +101,6 @@ class SubdivisionGrid:
                 raise InvalidDomain("cell counts must be >= 1")
             cuts.append(np.linspace(box.lo[j], box.hi[j], n + 1))
         return SubdivisionGrid(tuple(cuts))
-
-
-def _scalar_cut_points(slope, intercept, cuts):
-    f = lambda t: slope * t + intercept
-    pts = [np.array([cuts[0], f(cuts[0])]), np.array([cuts[-1], f(cuts[-1])])]
-    for i in range(1, len(cuts)):
-        lo_c, hi_c = cuts[i - 1], cuts[i]
-        if slope <= 0:
-            pts.append(np.array([lo_c, f(hi_c)]))
-        elif slope <= 1:
-            pts.append(np.array([lo_c + f(hi_c) - f(lo_c), f(hi_c)]))
-        else:
-            pts.append(np.array([hi_c, f(lo_c) + hi_c - lo_c]))
-    return np.vstack(pts)
-
-
-def subdivide_scalar(
-    slope: float,
-    intercept: float,
-    domain: tuple,
-    n_cells: int,
-    eps: float = DEFAULT_EPS,
-):
-    """Exact subdivided hull of a scalar affine graph on [a, b].
-
-    Returns (external, internal).  The external system is the base
-    three-row description of the whole-interval zone plus one extra row
-    per interior cut c:
-
-        slope <= 0:      0 <= max(x - c, y - f(c))
-        0 <= slope <= 1: y - f(c) <= max(0, x - c)
-        slope >= 1:      x - c <= max(0, y - f(c))
-
-    The internal form is the hull of (a, f(a)), (b, f(b)) and one corner
-    point per sub-interval, reduced to extreme points.
-    """
-    a, b = float(domain[0]), float(domain[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-        raise InvalidDomain(f"invalid scalar domain [{a}, {b}]")
-    if n_cells < 1:
-        raise InvalidDomain("need at least one sub-interval")
-    layer = AffineLayer([[slope]], [intercept], Box([a], [b]))
-    base = zone_external(zone_constants(layer), layer)
-    cuts = np.linspace(a, b, n_cells + 1)
-    f = lambda t: slope * t + intercept
-    lhs_rows, rhs_rows = [], []
-    for c in cuts[1:-1]:
-        lhs = np.full(3, BOTTOM)
-        rhs = np.full(3, BOTTOM)
-        if slope <= 0:
-            lhs[0] = 0.0
-            rhs[1] = -c
-            rhs[2] = -f(c)
-        elif slope <= 1:
-            lhs[2] = -f(c)
-            rhs[0] = 0.0
-            rhs[1] = -c
-        else:
-            lhs[1] = -c
-            rhs[0] = 0.0
-            rhs[2] = -f(c)
-        lhs_rows.append(lhs)
-        rhs_rows.append(rhs)
-    if lhs_rows:
-        extra = TropExternal(np.vstack(lhs_rows), np.vstack(rhs_rows))
-        ext = TropExternal(
-            np.vstack([base.lhs, extra.lhs]), np.vstack([base.rhs, extra.rhs])
-        )
-    else:
-        ext = base
-    internal = extreme_filter(
-        TropInternal(_scalar_cut_points(slope, intercept, cuts)), eps=eps
-    )
-    return ext, internal
 
 
 def _greedy_unit_sum(slopes: np.ndarray, candidates: Sequence[int]):
@@ -300,26 +222,3 @@ def subdivide_constraints(layer: AffineLayer, grid: SubdivisionGrid) -> TropExte
     if not lhs_rows:
         return TropExternal.empty(m + n)
     return TropExternal(np.vstack(lhs_rows), np.vstack(rhs_rows))
-
-
-def analyze_cellwise(
-    layer: AffineLayer,
-    grid: SubdivisionGrid,
-    apply_relu: bool = False,
-    cell_budget: int = CELL_BUDGET,
-    eps: float = DEFAULT_EPS,
-) -> TropInternal:
-    """Hull of the union of per-cell zone abstractions.
-
-    With ``apply_relu`` the output coordinates are duplicated and clamped,
-    so the result lives over (x, pre-activation, post-activation).
-    """
-    if grid.dim != layer.n_inputs:
-        raise InvalidDomain("grid dimension must match layer inputs")
-    check_cell_budget(grid.n_cells, cell_budget)
-    pieces = []
-    for cell in grid.cells():
-        sub = AffineLayer(layer.weights, layer.bias, cell)
-        g = zone_internal(zone_constants(sub), sub, eps=eps).generators
-        pieces.append(np.hstack([g, np.maximum(g[:, layer.n_inputs :], 0.0)]) if apply_relu else g)
-    return extreme_filter(TropInternal(np.vstack(pieces)), eps=eps)

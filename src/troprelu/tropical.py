@@ -9,10 +9,9 @@ combinations).  In external form it is the solution set of rows
 
 where slot 0 of each side is the constant term and absent terms are -inf.
 
-Rays are deliberately not represented: unbounded directions are handled by
-embedding into large finite intervals supplied by the caller, which is
-what the analysis does anyway.  All generators therefore have finite
-coordinates.
+Rays are not represented: the analysis starts from a finite input box and
+every affine layer keeps its outputs bounded, so every variable it tracks
+has finite bounds and all generators have finite coordinates.
 
 The bridge to zones: a closed bounded zone over n variables equals the
 hull of n + 1 explicit points (``zone_to_internal``), and the tightest
@@ -34,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     EmptyGenerators,
     InfiniteEntry,
-    InvalidInterval,
     NotClosed,
 )
 from .maxplus import BOTTOM, DEFAULT_EPS
@@ -103,20 +101,6 @@ def _eval_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     aug = np.hstack([np.zeros((points.shape[0], 1)), points])
     # -inf coefficients stay -inf after adding finite coordinates
     return (coeffs[:, None, :] + aug[None, :, :]).max(axis=2).T
-
-
-def external_membership(
-    ext: TropExternal, point: np.ndarray, eps: float = DEFAULT_EPS
-) -> bool:
-    """True iff every row's lhs value is <= its rhs value + eps."""
-    p = np.asarray(point, dtype=float).reshape(1, -1)
-    if p.shape[1] != ext.dim:
-        raise DimensionMismatch("point dimension does not match system")
-    if ext.n_rows == 0:
-        return True
-    lhs = _eval_rows(ext.lhs, p)[0]
-    rhs = _eval_rows(ext.rhs, p)[0]
-    return bool((lhs <= rhs + eps).all())
 
 
 def external_membership_many(
@@ -295,64 +279,11 @@ def extreme_filter(poly: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal
     return TropInternal(g[alive])
 
 
-def union_internal(a: TropInternal, b: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal:
-    """Hull of the union: concatenate generators, then reduce."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("cannot union polyhedra of different dimensions")
-    return extreme_filter(TropInternal(np.vstack([a.generators, b.generators])), eps=eps)
-
-
 def intersect_external(a: TropExternal, b: TropExternal) -> TropExternal:
     """Intersection: concatenation of the two row systems."""
     if a.dim != b.dim:
         raise DimensionMismatch("cannot intersect systems of different dimensions")
     return TropExternal(np.vstack([a.lhs, b.lhs]), np.vstack([a.rhs, b.rhs]))
-
-
-def emb_internal(
-    poly: TropInternal,
-    interval: tuple,
-    position: int,
-    eps: float = DEFAULT_EPS,
-) -> TropInternal:
-    """Embed the hull into one extra bounded dimension at ``position``.
-
-    The extreme points of H x [a, b] are every (p_i, a) plus (p_i, b) for
-    the generators p_i that dominate no other generator componentwise;
-    dominated ones reach their b-copy through combinations with the
-    dominating generator's b-copy.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or a > b:
-        raise InvalidInterval(f"invalid embedding interval [{a}, {b}]")
-    if position < 0 or position > poly.dim:
-        raise BadIndex("embedding position out of range")
-    g = poly.generators
-    if g.shape[0] == 0:
-        raise EmptyGenerators("cannot embed an empty generator list")
-    dominates_other = np.zeros(g.shape[0], dtype=bool)
-    for i in range(g.shape[0]):
-        le = (g <= g[i] + eps).all(axis=1)
-        le[i] = False
-        dominates_other[i] = le.any()
-    low = np.insert(g, position, a, axis=1)
-    high = np.insert(g[~dominates_other], position, b, axis=1)
-    pts = np.vstack([low, high]) if b > a else low
-    # drop exact duplicates introduced by degenerate intervals
-    return TropInternal(pts[_first_distinct(pts, eps)])
-
-
-def emb_box_internal(
-    poly: TropInternal,
-    intervals: Sequence[tuple],
-    position: int,
-    eps: float = DEFAULT_EPS,
-) -> TropInternal:
-    """Embed several bounded dimensions, one after the other."""
-    out = poly
-    for off, iv in enumerate(intervals):
-        out = emb_internal(out, iv, position + off, eps=eps)
-    return out
 
 
 def emb_external(ext: TropExternal, new_dims: int, position: int) -> TropExternal:

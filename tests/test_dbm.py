@@ -10,10 +10,10 @@ from troprelu import (
     dbm_box,
     dbm_close,
     dbm_contains,
-    dbm_intersect,
 )
 from troprelu.dbm import OctDbm, embed_dbm, oct_close
-from troprelu.errors import DimensionMismatch, EmptyInput, NotClosed, UnboundedVariable
+from troprelu.errors import EmptyFeasibleSet, EmptyInput, NotClosed, UnboundedVariable
+from troprelu.speccheck import min_over_zone
 
 INF = float("inf")
 
@@ -73,10 +73,15 @@ class TestClose:
                 assert np.array_equal(before, dbm_contains(closed, pts))
 
 
+def meet(a, b):
+    """The zone meet as ``min_over_zone`` forms it: entrywise min, then closure."""
+    return dbm_close(Dbm(np.minimum(a.entries, b.entries)))
+
+
 class TestIntersect:
     def test_idempotent(self):
         d = dbm_close(Dbm(ZONE2))
-        out = dbm_intersect(d, d)
+        out = meet(d, d)
         assert np.allclose(out.entries, d.entries)
 
     def test_two_layer_refinement(self):
@@ -93,7 +98,7 @@ class TestIntersect:
         carried = np.full((5, 5), INF)
         np.fill_diagonal(carried, 0.0)
         carried[y1, y2], carried[y2, y1] = 0.0, 3.0  # -3 <= y1 - y2 <= 0
-        out = dbm_intersect(Dbm(m), Dbm(carried))
+        out = meet(Dbm(m), Dbm(carried))
         assert out.entries[u1, y1] == 2.0
         assert out.entries[y1, u1] == 2.0  # refined from 3: u1 - y1 >= -2
         assert out.entries[u2, y2] == 1.0  # refined from 2
@@ -102,17 +107,15 @@ class TestIntersect:
     def test_disjoint_intervals_empty(self):
         a = Box([0.0], [1.0]).to_dbm()
         b = Box([2.0], [3.0]).to_dbm()
-        assert dbm_intersect(a, b) is EMPTY
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            dbm_intersect(Box([0], [1]).to_dbm(), Box([0, 0], [1, 1]).to_dbm())
+        assert meet(a, b) is EMPTY
+        with pytest.raises(EmptyFeasibleSet):
+            min_over_zone(a, Box([2.0], [3.0]), [1.0])
 
     def test_concretization_is_intersection(self, rng):
         for _ in range(20):
             a = best_zone_of_points(rng.normal(size=(4, 3)))
             b = best_zone_of_points(rng.normal(size=(4, 3)))
-            out = dbm_intersect(a, b)
+            out = meet(a, b)
             pts = rng.uniform(-4, 4, size=(500, 3))
             both = dbm_contains(a, pts) & dbm_contains(b, pts)
             if out is EMPTY:

@@ -10,8 +10,6 @@ from troprelu import (
     internal_membership_many,
     oct_constants,
     oct_dbm,
-    oct_internal,
-    oct_internal_direct,
     proj_internal,
     zone_constants,
     zone_dbm,
@@ -188,22 +186,6 @@ class TestRunningOctagon:
         o = oct_dbm(oct_constants(running_layer), running_layer)
         again = oct_close(OctDbm(o.entries.copy()))
         assert np.allclose(o.entries, again.entries)
-
-    def test_internal_projections(self, running_layer):
-        poly = oct_internal(oct_constants(running_layer), running_layer)
-        # (h1+, h2+) lives at coordinates 2, 3; (h1+, h2-) at 2, 7
-        assert_gen_set(proj_internal(poly, [2, 3]), [[-3, -1], [1, 1], [-1, 3]])
-        assert_gen_set(proj_internal(poly, [2, 7]), [[-3, -3], [1, -1], [-1, 1]])
-
-    def test_direct_matches_normative(self, running_layer):
-        a = oct_internal(oct_constants(running_layer), running_layer)
-        b = oct_internal_direct(oct_constants(running_layer), running_layer)
-        assert_gen_set(a, b.generators)
-
-    def test_zero_weights_single_generator(self):
-        layer = AffineLayer(np.zeros((1, 1)), [0.5], Box([1.0], [1.0]))
-        poly = oct_internal(oct_constants(layer), layer)
-        assert_gen_set(poly, [[1.0, 0.5, -1.0, -0.5]])
 
     def test_zero_weights_sums(self):
         layer = AffineLayer(np.zeros((2, 1)), [1.0, -1.0], Box([0.0], [1.0]))

@@ -16,7 +16,6 @@ from troprelu import (
     proj_internal,
     relu_extend,
     relu_external,
-    relu_internal,
 )
 from troprelu.errors import BadIndex, DimensionMismatch
 
@@ -60,17 +59,17 @@ class TestReluInternal:
 
     def test_nonnegative_unchanged(self):
         poly = TropInternal([[0.5, 1.0], [2.0, 0.0]])
-        out = relu_internal(poly, [0, 1])
-        assert_gen_set(out, poly.generators)
+        out = relu_extend(poly, [0, 1])
+        assert_gen_set(proj_internal(out, [2, 3]), poly.generators)
 
     def test_relu_graph_three_points(self):
         poly = TropInternal([[-1.0, -3.0], [1.0, 1.0], [1.0, -1.0]])
-        out = relu_internal(poly, [1])
-        assert_gen_set(out, [[-1, 0], [1, 1], [1, 0]])
+        out = relu_extend(poly, [1])
+        assert_gen_set(proj_internal(out, [0, 2]), [[-1, 0], [1, 1], [1, 0]])
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):
-            relu_internal(TropInternal([[0.0]]), [3])
+            relu_extend(TropInternal([[0.0]]), [3])
 
 
 class TestReluExternal:
@@ -214,10 +213,10 @@ class TestEndToEndSoundness:
 
 class TestReluExactness:
     def test_one_dim_graph_zone_relu_is_exact(self, rng):
-        # pre-ReLU: the exact graph zone of f(x) = x on [-1, 1]; clamping the
-        # second coordinate of its generators yields exactly the clamped graph
+        # pre-ReLU: the exact graph zone of f(x) = x on [-1, 1]; the clamped
+        # copy of its second coordinate spans exactly the clamped graph
         seg = TropInternal([[-1.0, -1.0], [1.0, 1.0]])
-        out = relu_internal(seg, [1])
+        out = proj_internal(relu_extend(seg, [1]), [0, 2])
         xs = rng.uniform(-1, 1, size=400)
         graph = np.column_stack([xs, np.maximum(xs, 0.0)])
         assert internal_membership_many(out, graph, eps=1e-9).all()

@@ -23,7 +23,6 @@ from troprelu import (
     SubdivisionGrid,
     TropExternal,
     analyze,
-    analyze_cellwise,
     check,
     check_with_subdivision,
     emb_external,
@@ -132,13 +131,6 @@ class TestCellBudget:
         grid = SubdivisionGrid.uniform(unit_box2, self.GRID_COUNTS)
         with pytest.raises(CellBudgetExceeded) as exc:
             analyze(running_net, unit_box2, AnalysisOptions(subdiv=grid))
-        assert self.raised_by_check(exc)
-        assert str(exc.value) == self.message(1056)
-
-    def test_analyze_cellwise_raises_through_check(self, running_layer, unit_box2):
-        grid = SubdivisionGrid.uniform(unit_box2, self.GRID_COUNTS)
-        with pytest.raises(CellBudgetExceeded) as exc:
-            analyze_cellwise(running_layer, grid)
         assert self.raised_by_check(exc)
         assert str(exc.value) == self.message(1056)
 

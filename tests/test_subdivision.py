@@ -3,21 +3,22 @@ import pytest
 
 from troprelu import (
     AffineLayer,
+    AnalysisOptions,
     Box,
+    Network,
     SubdivisionGrid,
-    analyze_cellwise,
+    analyze,
+    dbm_contains,
     external_membership_many,
     internal_membership_many,
     internal_to_zone,
     proj_internal,
     subdivide_constraints,
-    subdivide_scalar,
     zone_constants,
     zone_external,
-    zone_internal,
 )
 from troprelu.errors import CellBudgetExceeded, InvalidDomain
-from troprelu.tropical import intersect_external
+from troprelu.tropical import intersect_external, zone_to_internal
 
 from conftest import assert_gen_set
 
@@ -39,52 +40,6 @@ def has_row(ext, lhs, rhs, tol=1e-12):
         ):
             return True
     return False
-
-
-class TestScalar:
-    def test_half_slope_two_cells(self):
-        ext, inner = subdivide_scalar(0.5, 0.0, (0.0, 2.0), 2)
-        # extra cut row: y - 0.5 <= max(0, x - 1)
-        assert has_row(ext, row(2, v2=-0.5), row(2, const=0, v1=-1))
-        assert_gen_set(inner, [[0, 0], [0.5, 0.5], [1.5, 1], [2, 1]])
-
-    def test_single_cell_equals_plain_abstraction(self):
-        layer = AffineLayer([[0.5]], [0.0], Box([0.0], [2.0]))
-        base_ext = zone_external(zone_constants(layer), layer)
-        base_int = zone_internal(zone_constants(layer), layer)
-        ext, inner = subdivide_scalar(0.5, 0.0, (0.0, 2.0), 1)
-        assert ext.n_rows == base_ext.n_rows
-        assert np.allclose(ext.lhs, base_ext.lhs) and np.allclose(ext.rhs, base_ext.rhs)
-        assert_gen_set(inner, base_int.generators)
-
-    def test_negative_slope_cut_row(self):
-        ext, _ = subdivide_scalar(-1.0, 0.0, (0.0, 1.0), 2)
-        # 0 <= max(x - 0.5, y - f(0.5)) with f(0.5) = -0.5
-        assert has_row(ext, row(2, const=0), row(2, v1=-0.5, v2=0.5))
-
-    def test_invalid_domain(self):
-        with pytest.raises(InvalidDomain):
-            subdivide_scalar(1.0, 0.0, (1.0, 0.0), 2)
-        with pytest.raises(InvalidDomain):
-            subdivide_scalar(1.0, 0.0, (0.0, 1.0), 0)
-
-    def test_soundness_and_exactness_trend(self, rng):
-        for slope in (-1.0, 0.5, 2.0):
-            areas = []
-            for n_cells in (1, 2, 4, 8):
-                ext, inner = subdivide_scalar(slope, 0.3, (-1.0, 1.0), n_cells)
-                xs = rng.uniform(-1, 1, size=400)
-                graph = np.column_stack([xs, slope * xs + 0.3])
-                assert external_membership_many(ext, graph, eps=1e-9).all()
-                assert internal_membership_many(inner, graph, eps=1e-9).all()
-                probes = np.column_stack(
-                    [rng.uniform(-1, 1, 4000), rng.uniform(-1.5, 2.5, 4000)]
-                )
-                inside = external_membership_many(ext, probes) & internal_membership_many(
-                    inner, probes
-                )
-                areas.append(inside.mean())
-            assert all(a >= b - 0.02 for a, b in zip(areas, areas[1:]))
 
 
 class TestGeneralConstraints:
@@ -134,53 +89,58 @@ class TestGeneralConstraints:
 
 
 class TestCellwise:
-    def test_running_split_on_first_input(self, running_layer, unit_box2):
-        grid = SubdivisionGrid((np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 1.0])))
-        out = analyze_cellwise(running_layer, grid, apply_relu=True)
-        assert_gen_set(proj_internal(out, [4, 5]), [[0, 0], [1, 1], [0, 3]])
+    """The cell engine: ``analyze`` with a grid, on one-layer nets whose
+    tracked values are the inputs and the clamped outputs."""
 
-    def test_per_cell_zones_when_splitting_second_input(self, running_layer):
+    @staticmethod
+    def one_layer(rng):
+        return Network((rng.uniform(-2, 2, size=(2, 2)),), (rng.uniform(-1, 1, 2),), final_relu=True)
+
+    def test_running_split_on_first_input(self, running_net, unit_box2):
+        grid = SubdivisionGrid((np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 1.0])))
+        res = analyze(running_net, unit_box2, AnalysisOptions(subdiv=grid))
+        assert_gen_set(proj_internal(res.internal, res.output_slots), [[0, 0], [1, 1], [0, 3]])
+
+    def test_per_cell_zones_when_splitting_second_input(self, running_net, unit_box2):
         # each cell's clamped output hull is a zone of its own; the second
         # cell degenerates to a segment
-        left = AffineLayer(running_layer.weights, running_layer.bias, Box([-1, -1], [1, 0]))
-        right = AffineLayer(running_layer.weights, running_layer.bias, Box([-1, 0], [1, 1]))
-        for cell, expect in (
-            (left, [[0, 0], [1, 1], [0, 2]]),
-            (right, [[0, 0], [0, 3]]),
-        ):
-            grid = SubdivisionGrid((np.array([-1.0, 1.0]), np.array([cell.in_box.lo[1], cell.in_box.hi[1]])))
-            out = analyze_cellwise(cell, grid, apply_relu=True)
-            assert_gen_set(proj_internal(out, [4, 5]), expect)
+        grid = SubdivisionGrid((np.array([-1.0, 1.0]), np.array([-1.0, 0.0, 1.0])))
+        res = analyze(running_net, unit_box2, AnalysisOptions(subdiv=grid))
+        expect = ([[0, 0], [1, 1], [0, 2]], [[0, 0], [0, 3]])
+        for (cell, zone), want in zip(res.cells, expect):
+            assert_gen_set(proj_internal(zone_to_internal(zone), res.output_slots), want)
+            assert np.array_equal(zone.entries, analyze(running_net, cell).zone.entries)
 
-    def test_single_cell_equals_unsubdivided(self, running_layer, unit_box2):
+    def test_single_cell_equals_unsubdivided(self, running_net, unit_box2):
         grid = SubdivisionGrid.uniform(unit_box2, 1)
-        out = analyze_cellwise(running_layer, grid, apply_relu=False)
-        base = zone_internal(zone_constants(running_layer), running_layer)
-        assert_gen_set(out, base.generators)
+        res = analyze(running_net, unit_box2, AnalysisOptions(subdiv=grid))
+        base = analyze(running_net, unit_box2)
+        assert np.array_equal(res.zone.entries, base.zone.entries)
+        assert_gen_set(res.internal, base.internal.generators)
 
     def test_soundness(self, rng, unit_box2):
-        layer = AffineLayer(rng.uniform(-2, 2, size=(2, 2)), rng.uniform(-1, 1, 2), unit_box2)
+        net = self.one_layer(rng)
         grid = SubdivisionGrid.uniform(unit_box2, 3)
-        out = analyze_cellwise(layer, grid, apply_relu=True)
+        res = analyze(net, unit_box2, AnalysisOptions(subdiv=grid))
         xs = unit_box2.sample(rng, 800)
-        hs = layer.apply(xs)
-        pts = np.hstack([xs, hs, np.maximum(hs, 0.0)])
-        assert internal_membership_many(out, pts, eps=1e-9).all()
+        pts = np.hstack([xs, net.forward(xs)])
+        assert internal_membership_many(res.internal, pts, eps=1e-9).all()
+        assert dbm_contains(res.zone, pts, eps=1e-9).all()
 
     def test_monotone_refinement(self, rng, unit_box2):
-        layer = AffineLayer(rng.uniform(-2, 2, size=(2, 2)), rng.uniform(-1, 1, 2), unit_box2)
+        net = self.one_layer(rng)
         prev = None
         for n_cells in (1, 2, 4, 8):
             grid = SubdivisionGrid.uniform(unit_box2, [n_cells, n_cells])
-            zone = internal_to_zone(analyze_cellwise(layer, grid, apply_relu=True))
+            zone = internal_to_zone(analyze(net, unit_box2, AnalysisOptions(subdiv=grid)).internal)
             if prev is not None:
                 assert (zone.entries <= prev.entries + 1e-9).all()
             prev = zone
 
-    def test_cell_budget(self, unit_box2, running_layer):
+    def test_cell_budget(self, unit_box2, running_net):
         grid = SubdivisionGrid.uniform(unit_box2, [40, 40])
         with pytest.raises(CellBudgetExceeded):
-            analyze_cellwise(running_layer, grid, cell_budget=1024)
+            analyze(running_net, unit_box2, AnalysisOptions(subdiv=grid))
 
 
 class TestGrid:

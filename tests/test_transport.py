@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from troprelu import Box, best_zone_of_points, min_over_zone
 from troprelu import simplex
@@ -127,7 +127,11 @@ class TestDegenerateInputsTerminate:
 
 
 def linprog_transport(cost, sup, dem) -> float:
-    """-(min cost of the transportation problem), -inf when infeasible."""
+    """-(min cost of the transportation problem), -inf when infeasible.
+
+    HiGHS runs at its tightest feasibility tolerances (1e-10): at the
+    default 1e-7 it may stop at a vertex that pays a reduced cost below
+    1e-7 per unit, e.g. 5.96e-8 where a flow of cost 0 exists."""
     from scipy.optimize import linprog
 
     n_s, n_t = cost.shape
@@ -137,7 +141,13 @@ def linprog_transport(cost, sup, dem) -> float:
     a_eq = np.zeros((n_s + n_t, len(arcs)))
     for k, (i, j) in enumerate(arcs):
         a_eq[i, k] = a_eq[n_s + j, k] = 1.0
-    res = linprog([cost[i, j] for i, j in arcs], A_eq=a_eq, b_eq=np.r_[sup, dem], method="highs")
+    res = linprog(
+        [cost[i, j] for i, j in arcs],
+        A_eq=a_eq,
+        b_eq=np.r_[sup, dem],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     if res.status == 2:
         return -INF
     assert res.status == 0, res.message
@@ -168,6 +178,7 @@ def problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(problems())
+@example((np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0**-24]]), np.array([3.0, 2.0]), np.array([2.0, 2.0, 1.0])))
 def test_matches_linprog(problem):
     pytest.importorskip("scipy")
     cost, sup, dem = problem

@@ -11,16 +11,13 @@ from troprelu import (
     dbm_close,
     dbm_contains,
     emb_external,
-    emb_internal,
     extreme_filter,
-    external_membership,
     external_membership_many,
     intersect_external,
     internal_membership,
     internal_membership_many,
     internal_to_zone,
     proj_internal,
-    union_internal,
     zone_constants,
     zone_external,
     zone_to_internal,
@@ -30,7 +27,6 @@ from troprelu.errors import (
     DimensionMismatch,
     EmptyGenerators,
     InfiniteEntry,
-    InvalidInterval,
     NotClosed,
 )
 
@@ -42,28 +38,30 @@ RELU_SEG = TropInternal([[-1.0, 0.0], [1.0, 1.0]])
 
 
 class TestExternalMembership:
+    """One point at a time through ``external_membership_many``."""
+
     def test_graph_point_in_running_system(self, running_layer):
         ext = zone_external(zone_constants(running_layer), running_layer)
-        assert external_membership(ext, np.array([0.0, 0.0, -1.0, 1.0]))
+        assert external_membership_many(ext, np.array([0.0, 0.0, -1.0, 1.0])).all()
 
     def test_zone_point_off_graph_is_still_member(self, running_layer):
         # (1, 1, 1, 3) satisfies every difference bound even though the
         # exact map sends (1, 1) to (-1, 3); the zone over-approximates
         ext = zone_external(zone_constants(running_layer), running_layer)
-        assert external_membership(ext, np.array([1.0, 1.0, 1.0, 3.0]))
+        assert external_membership_many(ext, np.array([1.0, 1.0, 1.0, 3.0])).all()
 
     def test_violating_point_rejected(self, running_layer):
         ext = zone_external(zone_constants(running_layer), running_layer)
-        assert not external_membership(ext, np.array([-1.0, -1.0, 1.0, 1.0]))
-        assert not external_membership(ext, np.array([1.0, 1.0, 1.5, 3.0]))
+        assert not external_membership_many(ext, np.array([-1.0, -1.0, 1.0, 1.0])).any()
+        assert not external_membership_many(ext, np.array([1.0, 1.0, 1.5, 3.0])).any()
 
     def test_empty_system_accepts_everything(self):
         ext = TropExternal.empty(3)
-        assert external_membership(ext, np.array([5.0, -7.0, 0.0]))
+        assert external_membership_many(ext, np.array([5.0, -7.0, 0.0])).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            external_membership(TropExternal.empty(2), np.array([0.0]))
+            external_membership_many(TropExternal.empty(2), np.array([0.0]))
 
 
 class TestInternalMembership:
@@ -207,30 +205,6 @@ class TestExtremeFilter:
         assert internal_membership_many(poly, filtered.generators).all()
 
 
-class TestUnion:
-    def test_self_union(self):
-        poly = TropInternal([[-3, -1], [1, 1], [-1, 3]])
-        assert_gen_set(union_internal(poly, poly), poly.generators)
-
-    def test_two_cell_union(self):
-        # per-cell abstractions of the running example's outputs after
-        # splitting the first input at 0
-        left = TropInternal([[0.0, 0.0], [0.0, 2.0]])
-        right = TropInternal([[0.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
-        assert_gen_set(union_internal(left, right), [[0, 0], [1, 1], [0, 3]])
-
-    def test_union_contains_both(self, rng):
-        a = TropInternal(rng.normal(size=(4, 3)))
-        b = TropInternal(rng.normal(size=(3, 3)) + 1.0)
-        u = union_internal(a, b)
-        assert internal_membership_many(u, sample_hull(rng, a, 200)).all()
-        assert internal_membership_many(u, sample_hull(rng, b, 200)).all()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            union_internal(TropInternal([[0.0]]), TropInternal([[0.0, 0.0]]))
-
-
 class TestIntersectExternal:
     def test_with_empty_system(self, running_layer):
         ext = zone_external(zone_constants(running_layer), running_layer)
@@ -253,60 +227,6 @@ class TestIntersectExternal:
         assert np.array_equal(
             external_membership_many(both, pts), external_membership_many(ext, pts)
         )
-
-
-class TestEmbInternal:
-    def test_single_generator(self):
-        out = emb_internal(TropInternal([[1.0, 2.0]]), (0.0, 1.0), 2)
-        assert_gen_set(out, [[1, 2, 0], [1, 2, 1]])
-
-    def test_comparable_generators(self):
-        out = emb_internal(TropInternal([[0.0, 0.0], [1.0, 1.0]]), (0.0, 1.0), 2)
-        # the dominating generator's top copy is reachable through the
-        # minimal generator's top copy
-        assert_gen_set(out, [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
-
-    def test_dropped_top_copy_is_member(self):
-        out = emb_internal(TropInternal([[0.0, 0.0], [1.0, 1.0]]), (0.0, 1.0), 2)
-        # brute-force grid over combination coefficients, independent of the
-        # residuation-based membership test
-        target = np.array([1.0, 1.0, 1.0])
-        g = out.generators
-        grid = np.linspace(-3, 0, 61)
-        found = False
-        for l1 in grid:
-            for l2 in grid:
-                for pick in range(3):
-                    lam = np.array([l1, l2, 0.0][:3])
-                    lam[pick] = 0.0
-                    val = (g + lam[:, None]).max(axis=0)
-                    if np.abs(val - target).max() < 1e-9:
-                        found = True
-        assert found
-
-    def test_incomparable_generators(self):
-        out = emb_internal(TropInternal([[0.0, 1.0], [1.0, 0.0]]), (0.0, 1.0), 2)
-        assert out.n_generators == 4
-
-    def test_position_and_interval_checks(self):
-        with pytest.raises(InvalidInterval):
-            emb_internal(RELU_SEG, (1.0, 0.0), 0)
-        with pytest.raises(BadIndex):
-            emb_internal(RELU_SEG, (0.0, 1.0), 5)
-
-    def test_embedding_soundness(self, rng):
-        poly = TropInternal(rng.normal(size=(4, 3)))
-        out = emb_internal(poly, (-2.0, 2.0), 1)
-        base = sample_hull(rng, poly, 300)
-        t = rng.uniform(-2, 2, size=(300, 1))
-        lifted = np.hstack([base[:, :1], t, base[:, 1:]])
-        assert internal_membership_many(out, lifted).all()
-        # and conversely: members project into the original hull
-        emb_samples = sample_hull(rng, out, 300)
-        back = np.hstack([emb_samples[:, :1], emb_samples[:, 2:]])
-        assert internal_membership_many(poly, back).all()
-        assert (emb_samples[:, 1] >= -2 - 1e-9).all()
-        assert (emb_samples[:, 1] <= 2 + 1e-9).all()
 
 
 class TestEmbExternal:
