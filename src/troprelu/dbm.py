@@ -27,13 +27,16 @@ take the layer's direct bounds.  The test is exact, bit for bit, and made
 for each matrix of a stack, so a stacked cell takes the path it takes
 alone.  ``dbm_close`` and ``oct_close`` close everything else.
 
-A ``Box`` and a ``Dbm`` may carry leading axes, one box or matrix per
-grid cell: lo and hi of shape (C, n), entries of shape (C, n+1, n+1).
-The layer loop analyses a grid in that stacked form, every cell's
-arithmetic the same as alone.  ``Box.dim``, ``Box.width``,
-``Box.to_dbm``, ``Dbm.dim``, ``Dbm.slice``, ``dbm_box``, ``embed_dbm``,
-``_interface_close`` and ``_shortest_paths`` read stacks; every other
-method and function takes a single box or matrix.
+A ``Box``, a ``Dbm`` and an ``OctDbm`` may carry leading axes, one box
+or matrix per grid cell: lo and hi of shape (C, n), entries of shape
+(C, n+1, n+1) or (C, 2n, 2n).  The layer loop analyses a grid in that
+stacked form in either domain, every cell's arithmetic the same as
+alone.  ``Box.dim``, ``Box.width``, ``Box.to_dbm``, ``Dbm.dim``,
+``Dbm.slice``, ``OctDbm.dim``, ``OctDbm.box``, ``dbm_box``,
+``embed_dbm``, ``oct_close``, ``_strengthen``, ``_interface_close`` and
+``_shortest_paths`` read stacks; every other method and function,
+``OctDbm.mirror`` and ``OctDbm.to_bounded_dbm`` among them, takes a
+single box or matrix.
 
 Octagons add constraints on sums x_i + x_j.  They are encoded as a DBM
 over 2n doubled variables (+x_1..+x_n, -x_1..-x_n) with *no* constant
@@ -51,7 +54,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, UnboundedVariable
-from .maxplus import DEFAULT_EPS
+from .maxplus import DEFAULT_EPS, check_eps
 
 INF = float("inf")
 
@@ -196,9 +199,13 @@ def _fill_diagonal(m: np.ndarray, value) -> None:
 
 
 def _floyd_warshall(m: np.ndarray, pivots: Optional[Sequence[int]] = None) -> np.ndarray:
-    for k in range(m.shape[-1]) if pivots is None else pivots:
-        np.minimum(m, m[..., :, k, None] + m[..., None, k, :], out=m)
-    return m
+    n = m.shape[-1]
+    flat = m.reshape((math.prod(m.shape[:-2]), n, n))
+    step = max(1, (1 << 17) // max(n * n, 1))  # cells per block: 1 MB, kept in cache
+    for block in (flat[c : c + step] for c in range(0, len(flat), step)):
+        for k in range(n) if pivots is None else pivots:
+            np.minimum(block, block[:, :, k, None] + block[:, None, k, :], out=block)
+    return flat.reshape(m.shape)
 
 
 def _shortest_paths(
@@ -234,6 +241,7 @@ def _shortest_paths(
 
 def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
     """Shortest-path closure; EMPTY iff a cycle weighs less than -eps."""
+    check_eps(eps)
     m, empty = _shortest_paths(d.entries, eps)
     if empty:
         return EMPTY
@@ -324,7 +332,8 @@ def embed_dbm(d: Dbm, old_slots: Sequence[int], new_dim: int) -> Dbm:
 
 @dataclass(frozen=True)
 class OctDbm:
-    """Octagon over n variables as a DBM on 2n slots, no constant slot.
+    """Octagon over n variables as a DBM on 2n slots, no constant slot
+    (leading axes: a stack of octagons, see the module docstring).
 
     Slot i (0-based, i < n) is +x_i; slot n+i is -x_i.  ``entries[p, q]``
     bounds slot_p - slot_q, so mixed entries bound sums:
@@ -338,13 +347,13 @@ class OctDbm:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2 != 0:
             raise DimensionMismatch("octagon DBM must be square with even size")
 
     @property
     def dim(self) -> int:
         """Number of underlying variables (half the slot count)."""
-        return self.entries.shape[0] // 2
+        return self.entries.shape[-1] // 2
 
     def mirror(self, slot: int) -> int:
         n = self.dim
@@ -352,8 +361,8 @@ class OctDbm:
 
     def box(self) -> Box:
         n = self.dim
-        hi = np.diagonal(self.entries[:n, n:]) / 2.0
-        lo = -np.diagonal(self.entries[n:, :n]) / 2.0
+        hi = _diagonal(self.entries[..., :n, n:]) / 2.0
+        lo = -_diagonal(self.entries[..., n:, :n]) / 2.0
         if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise UnboundedVariable("octagon has an unbounded variable")
         return _bounds_box(lo, hi)
@@ -398,7 +407,8 @@ def oct_close(
     half-sum strengthening m[p,q] <- min(m[p,q], (m[p, p̄] + m[q̄, q]) / 2)
     then makes it strongly closed: for real-valued octagons a closed matrix
     stays closed under that step (Bagnara, Hill & Zaffanella, MSCS 2009;
-    Miné, HOSC 2006).  A cycle below -eps after either step means EMPTY.
+    Miné, HOSC 2006).  A cycle below -eps after either step means EMPTY;
+    on a stack, each octagon is closed alone and EMPTY means one is empty.
 
     ``changed`` lists the variables (0-based) whose rows and columns may
     have changed; the pass then pivots only on their two slots each.  That
@@ -410,32 +420,34 @@ def oct_close(
     ``network._oct_relu_append`` appends.  Without ``changed`` every slot
     pivots.
     """
+    check_eps(eps)
     n = o.dim
     pivots = None
     if changed is not None:
         var = np.asarray(changed, dtype=int)
         pivots = np.sort(np.concatenate([var, var + n]))
     m, empty = _shortest_paths(o.entries, eps, pivots, n_oct=n)
-    m = None if empty else _strengthen(m, n, eps)
+    m = None if empty.any() else _strengthen(m, n, eps)
     return EMPTY if m is None else OctDbm(m, closed=True)
 
 
 def _strengthen(m: np.ndarray, n: int, eps: float) -> Optional[np.ndarray]:
     """The tail of ``oct_close``: half-sum strengthening and coherence of a
-    shortest-path closed doubled matrix over n variables, in place where it
-    can; None if a diagonal entry then falls below -eps."""
+    shortest-path closed doubled matrix over n variables (or of each matrix
+    of a stack), in place where it can; None if a diagonal entry then falls
+    below -eps."""
     perm = _mirror(n)
-    unary = m[np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
-    np.minimum(m, (unary[:, None] + unary[perm][None, :]) / 2.0, out=m)
+    unary = m[..., np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
+    np.minimum(m, (unary[..., :, None] + unary[..., None, perm]) / 2.0, out=m)
     m = _coherence_min(m, n)
-    if (np.diagonal(m) < -eps).any():
+    if (_diagonal(m) < -eps).any():
         return None
     # bounds of a flat direction (a point box, a dead unit) can cross by
     # rounding, m[p, q] + m[q, p] < 0 within eps; the next pass would
     # double that negative cycle at every pivot, so widen such a pair to
     # the interval between its two bounds, as ``_bounds_box`` does
-    np.maximum(m, -m.T, out=m)
-    np.fill_diagonal(m, 0.0)
+    np.maximum(m, -m.swapaxes(-2, -1), out=m)
+    _fill_diagonal(m, 0.0)
     return m
 
 

@@ -282,7 +282,8 @@ def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
 
 def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False) -> np.ndarray:
     """Raw coherent doubled matrix of the tight octagon, slots (+x, +y, -x, -y)
-    as in ``oct_dbm``, or (+x, -x, +y, -y) with ``interface``.
+    as in ``oct_dbm``, or (+x, -x, +y, -y) with ``interface``; a stack of
+    them on a stacked input box.
 
     Every entry is the exact sup of the corresponding +-combination over
     the graph, so a caller that meets it with another octagon and closes
@@ -293,25 +294,25 @@ def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False
     z, lo, hi = k.zone, layer.in_box.lo, layer.in_box.hi
     first = (0, 2 * m, m, m + dim) if interface else (0, m, dim, dim + m)  # of +x, +y, -x, -y
     px, py, mx, my = (slice(f, f + w) for f, w in zip(first, (m, dim - m) * 2))
-    e = np.empty((2 * dim, 2 * dim))
+    e = np.empty(lo.shape[:-1] + (2 * dim, 2 * dim))
     # sup of v_j - v_i at (+i, +j), and at (-j, -i)
-    e[px, px] = hi[:, None] - lo[None, :]
-    e[py, py] = z.diff
-    e[py, px] = z.out_hi[:, None] - lo[None, :] - z.slack
-    e[px, py] = (hi[:, None] - z.out_lo[None, :]) - z.slack.T
-    e[mx, mx] = e[px, px].T
-    e[my, my] = e[py, py].T
-    e[mx, my] = e[py, px].T
-    e[my, mx] = e[px, py].T
+    e[..., px, px] = hi[..., :, None] - lo[..., None, :]
+    e[..., py, py] = z.diff
+    e[..., py, px] = z.out_hi[..., :, None] - lo[..., None, :] - z.slack
+    e[..., px, py] = (hi[..., :, None] - z.out_lo[..., None, :]) - z.slack.swapaxes(-2, -1)
+    e[..., mx, mx] = e[..., px, px].swapaxes(-2, -1)
+    e[..., my, my] = e[..., py, py].swapaxes(-2, -1)
+    e[..., mx, my] = e[..., py, px].swapaxes(-2, -1)
+    e[..., my, mx] = e[..., px, py].swapaxes(-2, -1)
     # sup of v_i + v_j at (+i, -j)
-    e[px, mx] = hi[:, None] + hi[None, :]
-    e[py, my] = k.sum_hi
-    e[py, mx] = z.out_hi[:, None] + hi[None, :] - k.sum_slack
-    e[px, my] = (hi[:, None] + z.out_hi[None, :]) - k.sum_slack.T
+    e[..., px, mx] = hi[..., :, None] + hi[..., None, :]
+    e[..., py, my] = k.sum_hi
+    e[..., py, mx] = z.out_hi[..., :, None] + hi[..., None, :] - k.sum_slack
+    e[..., px, my] = (hi[..., :, None] + z.out_hi[..., None, :]) - k.sum_slack.swapaxes(-2, -1)
     # sup of -(v_i + v_j) at (-i, +j)
-    e[mx, px] = -(lo[:, None] + lo[None, :])
-    e[my, py] = -k.sum_lo
-    e[my, px] = -(z.out_lo[:, None] + lo[None, :] + k.sum_slack)
-    e[mx, py] = -((lo[:, None] + z.out_lo[None, :]) + k.sum_slack.T)
-    np.fill_diagonal(e, 0.0)
+    e[..., mx, px] = -(lo[..., :, None] + lo[..., None, :])
+    e[..., my, py] = -k.sum_lo
+    e[..., my, px] = -(z.out_lo[..., :, None] + lo[..., None, :] + k.sum_slack)
+    e[..., mx, py] = -((lo[..., :, None] + z.out_lo[..., None, :]) + k.sum_slack.swapaxes(-2, -1))
+    _fill_diagonal(e, 0.0)
     return e

@@ -47,17 +47,16 @@ layer's pre-activation zone as n + 1 points, clamped, projected and then
 filtered once.  The analysis keeps that zone and builds the generators on
 first access, so a run whose result is only checked never builds them.
 
-With a subdivision grid (``AnalysisOptions.subdiv``) the zone-domain loop
-runs once for all cells: every box, zone and layer constant carries a
-leading cell axis, and each cell's floats are computed as they would be
-alone (``np.matmul`` of a layer's weights against one column per cell
-gives each cell's matrix-vector product bit for bit; one matrix product
-over the stacked cells would round differently).  Cells go through in
-chunks that keep each stacked matrix within ``_CELL_FLOATS`` floats.  A
-run without a grid is the same loop on one box, without the cell axis.
-The octagon chain takes one box, so there the cells pass one by one and
-their results are stacked alike.  The grid must have one axis per input
-and lie inside the input box.  The cells are joined: the zone, the
+With a subdivision grid (``AnalysisOptions.subdiv``) the loop runs once
+for all cells, in either domain: every box, zone, octagon and layer
+constant carries a leading cell axis, and each cell's floats are computed
+as they would be alone (``np.matmul`` of a layer's weights against one
+column per cell gives each cell's matrix-vector product bit for bit; one
+matrix product over the stacked cells would round differently).  Cells
+go through in chunks that keep each stacked matrix within
+``_CELL_FLOATS`` floats.  A run without a grid is the same loop on one
+box, without the cell axis.  The grid must have one axis per input and
+lie inside the input box.  The cells are joined: the zone, the
 generators (the union of the cells' generators, also built on first
 access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
@@ -78,7 +77,6 @@ from .dbm import (
     Box,
     Dbm,
     EMPTY,
-    INF,
     OctDbm,
     _fill_diagonal,
     _interface_close,
@@ -256,8 +254,9 @@ def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
 
 
 def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] = None):
-    """Append clamped copies g_i = max(0, h_i) to a closed octagon and keep
-    the variables ``keep`` (default all) followed by the copies.
+    """Append clamped copies g_i = max(0, h_i) to a closed octagon, or to
+    each octagon of a stack, and keep the variables ``keep`` (default all)
+    followed by the copies.
 
     Clamping distributes over sups: sup(max(0, h) - s) equals
     max(sup(-s), sup(h - s)), and symmetrically with min for the negated
@@ -278,37 +277,37 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] =
     size = k + r
     old = o.entries
     mir = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
-    ub = old[np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
+    ub = old[..., np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
     hp = np.asarray(h_vars, dtype=int)
     hm = hp + n
     ks = np.concatenate([keep, keep + n])
     # each copy's rows against the kept slots, then +h and -h of every copy
     cols = np.concatenate([ks, hp, hm])
-    col_sup = ub[mir[cols]]
-    row_p = np.maximum(col_sup, old[np.ix_(hp, cols)])  # rows +g
-    row_m = np.minimum(col_sup, old[np.ix_(hm, cols)])  # rows -g
+    col_sup = ub[..., None, mir[cols]]
+    row_p = np.maximum(col_sup, old[..., hp[:, None], cols])  # rows +g
+    row_m = np.minimum(col_sup, old[..., hm[:, None], cols])  # rows -g
     kpos = np.concatenate([np.arange(k), np.arange(size, size + k)])
     gp = np.arange(k, size)
     gm = gp + size
-    e = np.empty((2 * size, 2 * size))
-    e[np.ix_(kpos, kpos)] = old[np.ix_(ks, ks)]
-    e[np.ix_(gp, kpos)] = row_p[:, : 2 * k]
-    e[np.ix_(gm, kpos)] = row_m[:, : 2 * k]
-    e[np.ix_(kpos, gp)] = np.minimum(ub[ks][:, None], old[np.ix_(ks, hp)])
-    e[np.ix_(kpos, gm)] = np.maximum(ub[ks][:, None], old[np.ix_(ks, hm)])
+    e = np.empty(old.shape[:-2] + (2 * size, 2 * size))
+    e[..., kpos[:, None], kpos] = old[..., ks[:, None], ks]
+    e[..., gp[:, None], kpos] = row_p[..., : 2 * k]
+    e[..., gm[:, None], kpos] = row_m[..., : 2 * k]
+    e[..., kpos[:, None], gp] = np.minimum(ub[..., ks, None], old[..., ks[:, None], hp])
+    e[..., kpos[:, None], gm] = np.maximum(ub[..., ks, None], old[..., ks[:, None], hm])
     # pairs of copies (rows +g_i then -g_i, columns j != i) through the
     # (g_i, h_j) transfers; the i = j entries are the copies' own bounds.
     # np.maximum(h, 0.0) keeps 0.0 on ties as max(0.0, h) does (signed zeros)
-    g_hi = 2.0 * np.maximum(ub[hp], 0.0)
-    g_lo = -2.0 * np.maximum(-ub[hm], 0.0)
-    row_sup = (np.concatenate([g_hi, g_lo]) / 2.0)[:, None]
-    to_h = np.vstack([row_p[:, 2 * k :], row_m[:, 2 * k :]])
+    g_hi = 2.0 * np.maximum(ub[..., hp], 0.0)
+    g_lo = -2.0 * np.maximum(-ub[..., hm], 0.0)
+    row_sup = (np.concatenate([g_hi, g_lo], axis=-1) / 2.0)[..., :, None]
+    to_h = np.concatenate([row_p[..., 2 * k :], row_m[..., 2 * k :]], axis=-2)
     rows = np.concatenate([gp, gm])
-    e[np.ix_(rows, gp)] = np.minimum(to_h[:, :r], row_sup)
-    e[np.ix_(rows, gm)] = np.maximum(to_h[:, r:], row_sup)
-    e[gp, gm] = g_hi
-    e[gm, gp] = g_lo
-    np.fill_diagonal(e, 0.0)
+    e[..., rows[:, None], gp] = np.minimum(to_h[..., :r], row_sup)
+    e[..., rows[:, None], gm] = np.maximum(to_h[..., r:], row_sup)
+    e[..., gp, gm] = g_hi
+    e[..., gm, gp] = g_lo
+    _fill_diagonal(e, 0.0)
     out = oct_close(OctDbm(e), eps=eps, changed=range(k, size))
     if out is EMPTY:
         raise EmptyAbstraction("octagon ReLU transfer produced an empty octagon")
@@ -396,15 +395,16 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
 _CELL_FLOATS = 1 << 22
 
 
-def _cell_floats(net: Network, track_all: bool) -> int:
+def _cell_floats(net: Network, track_all: bool, octagon: bool = False) -> int:
     """Floats of the largest matrix the layer loop builds for one cell: a
-    layer's meet with its ReLU copies appended."""
+    layer's meet with its ReLU copies appended; with ``octagon`` four times
+    that, for the doubled meet and the copies its closure keeps alive."""
     largest = 1
     for li in range(net.n_layers):
         hidden = sum(net.sizes[1:li]) if track_all else 0
         n_old = net.n_inputs + hidden + (net.sizes[li] if li else 0)
         largest = max(largest, (1 + n_old + 2 * net.sizes[li + 1]) ** 2)
-    return largest
+    return 4 * largest if octagon else largest
 
 
 def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions) -> AnalysisResult:
@@ -428,7 +428,8 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
     cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
     lo, hi = grid.cell_bounds()
-    step = max(1, _CELL_FLOATS // _cell_floats(net, options.track_all))
+    octagon = options.mode is ChainMode.ZONE and options.domain is AbsDomain.OCTAGON
+    step = max(1, _CELL_FLOATS // _cell_floats(net, options.track_all, octagon))
     parts = [
         _analyze_chunk(net, lo[i : i + step], hi[i : i + step], cell_opts)
         for i in range(0, len(lo), step)
@@ -463,27 +464,9 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
 
 
 def _analyze_chunk(net: Network, lo: np.ndarray, hi: np.ndarray, options: AnalysisOptions) -> AnalysisResult:
-    """The layer loop over the cells with corners ``lo``, ``hi`` (C, m): its
-    result with every zone and stage box stacked over the cells.
-
-    In the zone domain the cells pass through the loop together.  The
-    octagon chain takes one box, so there each cell passes alone and the
-    cells' results are stacked.
-    """
-    if options.domain is AbsDomain.OCTAGON:
-        each = [_analyze_single(net, Box(l, h), options)[0] for l, h in zip(lo, hi)]
-        first = each[0]
-        relu_vars, sel = first._gen_parts[0][1:]
-        pre = np.stack([r._gen_parts[0][0].entries for r in each])
-        return replace(
-            first,
-            zone=Dbm(np.stack([r.zone.entries for r in each]), closed=True),
-            bounds=[
-                Box(np.stack([r.bounds[s].lo for r in each]), np.stack([r.bounds[s].hi for r in each]))
-                for s in range(len(first.bounds))
-            ],
-            _gen_parts=[(Dbm(pre, closed=True), relu_vars, sel)],
-        )
+    """The layer loop over the cells with corners ``lo``, ``hi`` (C, m),
+    all passing through it together: its result with every zone and stage
+    box stacked over the cells."""
     try:
         return _analyze_single(net, Box(lo, hi), options)[0]
     except TropReluError:
@@ -495,10 +478,10 @@ def _analyze_chunk(net: Network, lo: np.ndarray, hi: np.ndarray, options: Analys
 
 
 def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
-    """One pass of the layer loop over ``in_box``: one box, or in the zone
-    domain a stack of cell boxes (lo, hi of shape (C, m)), whose zones and
-    stage boxes then carry the same leading axis.  Each cell's arithmetic
-    is the same as alone.
+    """One pass of the layer loop over ``in_box``: one box, or a stack of
+    cell boxes (lo, hi of shape (C, m)), whose zones and stage boxes then
+    carry the same leading axis.  Each cell's arithmetic is the same as
+    alone.
 
     Returns the result and the (layer, zone constants) pairs, from which
     ``analyze`` builds the external system of an unsubdivided run.
@@ -610,23 +593,23 @@ def _step_sizes(octagon: bool, n_old: int, n_cur: int, n_new: int, n_kept: int, 
 
 def _oct_from_box(box: Box) -> OctDbm:
     n = box.dim
-    e = np.full((2 * n, 2 * n), INF)
-    np.fill_diagonal(e, 0.0)
-    e[:n, :n] = box.hi[:, None] - box.lo[None, :]
-    e[n:, n:] = e[:n, :n].T.copy()
-    e[:n, n:] = box.hi[:, None] + box.hi[None, :]
-    e[n:, :n] = -(box.lo[:, None] + box.lo[None, :])
-    np.fill_diagonal(e, 0.0)
+    e = np.empty(box.lo.shape[:-1] + (2 * n, 2 * n))
+    e[..., :n, :n] = box.hi[..., :, None] - box.lo[..., None, :]
+    e[..., n:, n:] = e[..., :n, :n].swapaxes(-2, -1)
+    e[..., :n, n:] = box.hi[..., :, None] + box.hi[..., None, :]
+    e[..., n:, :n] = -(box.lo[..., :, None] + box.lo[..., None, :])
+    _fill_diagonal(e, 0.0)
     out = oct_close(OctDbm(e))
     assert isinstance(out, OctDbm)
     return out
 
 
 def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
-    """One layer of the octagon chain in the doubled space, with the
-    layer's octagon constants ``k_oct``: the carried octagon met with the
-    layer's, closed through their interface (+-current layer) and
-    strengthened, then the ReLU copies closed on the ``kept`` variables.
+    """One layer of the octagon chain in the doubled space, on one octagon
+    or a stack, with the layer's octagon constants ``k_oct``: the carried
+    octagon met with the layer's, closed through their interface
+    (+-current layer) and strengthened, then the ReLU copies closed on the
+    ``kept`` variables.
 
     Returns the next octagon over (kept, post or pre), its plus-block zone
     and the plus-block zone of the (old, pre) space before ReLU.
@@ -644,7 +627,7 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
         old_minus = np.arange(n_old, 2 * n_old)
         h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
         back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
-        e = _strengthen(e[np.ix_(back, back)], n_pre, eps)
+        e = _strengthen(e[..., back[:, None], back], n_pre, eps)
     if e is None:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
     closed = OctDbm(e, closed=True)
@@ -654,12 +637,13 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
         nxt_oct = _oct_relu_append(closed, pre, eps, keep=kept)
     else:
         idx = np.asarray(kept + pre + [i + n_pre for i in kept + pre], dtype=int)
-        nxt_oct = OctDbm(closed.entries[np.ix_(idx, idx)], closed=True)
+        nxt_oct = OctDbm(closed.entries[..., idx[:, None], idx], closed=True)
     return nxt_oct, _plus_block_dbm(nxt_oct, list(range(nxt_oct.dim))), pre_zone
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
-    """Plain zone over selected variables read off a strongly closed octagon.
+    """Plain zone over selected variables read off a strongly closed octagon
+    (or off each octagon of a stack).
 
     The plus block gives the differences and the halved mirror entries the
     bounds.  That zone is closed as it stands: strengthening bounds each
@@ -669,11 +653,11 @@ def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
     n = o.dim
     k = len(vars_)
     sel = np.asarray(vars_, dtype=int)
-    e = np.empty((k + 1, k + 1))
-    e[1:, 1:] = o.entries[np.ix_(sel, sel)]
-    e[1:, 0] = o.entries[sel, sel + n] / 2.0
-    e[0, 1:] = o.entries[sel + n, sel] / 2.0
-    np.fill_diagonal(e, 0.0)
+    e = np.empty(o.entries.shape[:-2] + (k + 1, k + 1))
+    e[..., 1:, 1:] = o.entries[..., sel[:, None], sel]
+    e[..., 1:, 0] = o.entries[..., sel, sel + n] / 2.0
+    e[..., 0, 1:] = o.entries[..., sel + n, sel] / 2.0
+    _fill_diagonal(e, 0.0)
     return Dbm(e, closed=True)
 
 

@@ -111,6 +111,7 @@ def min_over_zone(
     closed is closed too).  Returns -inf when the program is unbounded;
     raises EmptyFeasibleSet when the restriction empties the zone.
     """
+    check_eps(eps)
     objective = np.asarray(objective, dtype=float)
     _check_objective(objective, zone.dim)
     work = zone
