@@ -25,7 +25,14 @@ products, one row and one column, in place of three dense ones.  The
 diagonal does not factor, so the shared slots' own rows and columns also
 take the layer's direct bounds.  The test is exact, bit for bit, and made
 for each matrix of a stack, so a stacked cell takes the path it takes
-alone.  ``dbm_close`` and ``oct_close`` close everything else.
+alone.  An octagon meet is coherent (below): a, b's C block and the pair
+b[C, Y], b[Y, C] satisfy m[p, q] == m[q̄, p̄], so E[y, x] == E[x̄, ȳ]
+and the meet copies one off-diagonal block from the other instead of
+taking its product.  That is exact: each term b[y, c] + e[c, x] of the
+dropped product is the term e[x̄, c̄] + b[c̄, ȳ] of the kept one with its
+operands swapped, float addition commutes, and the min runs over the same
+values.  The test for it is also exact and takes the three products on
+any mismatch.  ``dbm_close`` and ``oct_close`` close everything else.
 
 A ``Box``, a ``Dbm`` and an ``OctDbm`` may carry leading axes, one box
 or matrix per grid cell: lo and hi of shape (C, n), entries of shape
@@ -506,6 +513,13 @@ def _interface_close(
     The choice is made per matrix of a stack: a grid mixes factoring and
     non-factoring cells, and each cell must get the floats it gets alone.
 
+    Otherwise, if the operands are coherent octagons (``_coherent_meet``,
+    each slot p with a mirror p̄, m[p, q] == m[q̄, p̄]), the meet is
+    coherent too and E[Y, X∪C] is E[X∪C, Y] mirrored, E[y, x] = E[x̄, ȳ]:
+    the terms b[y, c] + e[c, x] of its product are those of E[x̄, ȳ],
+    e[x̄, c̄] + b[c̄, ȳ], with the operands swapped, so the copy is the
+    product's floats and the meet takes two dense products, not three.
+
     Returns None if a cycle through Y weighs less than -eps (in any pair of
     a stack); a diagonal entry within eps of 0 is set to 0.
     """
@@ -551,13 +565,68 @@ def _meet_block(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _dense_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``_interface_close`` before its diagonal check, by three dense
-    min-plus products through C."""
+    min-plus products through C, or two when the operands are coherent
+    (``_coherent_meet``): E[Y, X∪C] is then E[X∪C, Y] mirrored,
+    E[y, x] = E[x̄, ȳ], the same floats as its own product."""
     p, k = a.shape[-1], len(c)
     e = _meet_block(a, c, b)
     e[..., :p, p:] = _min_plus(e[..., :p, c], b[..., :k, k:])
-    e[..., p:, :p] = _min_plus(b[..., k:, :k], e[..., c, :p])
+    if _coherent_meet(a, c, b):
+        e[..., p:, :p] = _mirrored(e[..., :p, p:]).reshape(e[..., p:, :p].shape)
+    else:
+        e[..., p:, :p] = _min_plus(b[..., k:, :k], e[..., c, :p])
     e[..., p:, p:] = np.minimum(b[..., k:, k:], _min_plus(b[..., k:, :k], e[..., c, p:]))
     return e
+
+
+def _coherent_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the dense meet may mirror E[X∪C, Y] into E[Y, X∪C]: a, b's
+    C block and the pair b[C, Y], b[Y, C] are coherent on every matrix of
+    the stack, each slot space doubled (+ half, then - half) with C's
+    mirror that of a's slots, and neither b[C, Y] nor b[Y, C] holds a -0.0.
+
+    Without a -0.0 on b's side no term of either product is -0.0, so no
+    +0.0 term meets a -0.0 in a min, where the order of the terms would
+    choose the sign.  A NaN fails the equality.  The shape test, first,
+    sends every zone meet of the layer chain back before any value is
+    read: C there is slot 0 and the current layer, and its second half is
+    not its first shifted by half of a's slots.
+    """
+    p, k = a.shape[-1], len(c)
+    if p % 2 or k % 2 or (b.shape[-1] - k) % 2 or not k:
+        return False
+    if (c[k // 2 :] != c[: k // 2] + p // 2).any():
+        return False
+    b_cc, b_cy, b_yc = b[..., :k, :k], b[..., :k, k:], b[..., k:, :k]
+    return (
+        _mirrors(a, a)
+        and _mirrors(b_cc, b_cc)
+        and _mirrors(b_cy, b_yc)
+        and not _negative_zero(b_cy)
+        and not _negative_zero(b_yc)
+    )
+
+
+def _mirrors(u: np.ndarray, v: np.ndarray) -> bool:
+    """u[..., r, s] == v[..., s̄, r̄] on every entry."""
+    return bool((_halves(u) == _mirrored(v)).all())
+
+
+def _mirrored(m: np.ndarray) -> np.ndarray:
+    """m'[..., p, q] = m[..., q̄, p̄], each axis of m a doubled space (+
+    half, then - half): a view of m's transpose with the halves of each
+    axis swapped, shaped as ``_halves``."""
+    return _halves(m.swapaxes(-2, -1))[..., ::-1, :, ::-1, :]
+
+
+def _halves(m: np.ndarray) -> np.ndarray:
+    """View of m as (..., 2, rows / 2, 2, columns / 2)."""
+    return m.reshape(m.shape[:-2] + (2, m.shape[-2] // 2, 2, m.shape[-1] // 2))
+
+
+def _negative_zero(x: np.ndarray) -> bool:
+    zero = x == 0.0
+    return bool(zero.any() and np.signbit(x[zero]).any())
 
 
 def _factored_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:

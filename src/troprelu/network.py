@@ -16,7 +16,10 @@ every hidden layer.  Per layer it
    them, since a shortest path needs one hop through them on each side
    of h at most.  A carried box (the first layer, and every layer in box
    and external mode) factors through slot 0, and its meet takes one
-   row and one column product instead;
+   row and one column product instead.  In the octagon domain both
+   operands are coherent, so the meet's rows of h are the mirror of its
+   columns of h, the same floats, and it takes two dense products, not
+   three;
 3. appends y = max(0, h) (``_relu_append``), each entry of the image's
    tightest zone a max or min of closed entries, and keeps the tracked slots.
 

@@ -212,13 +212,13 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     m, empty = _shortest_paths(np.minimum(zones, restr.entries), eps)
     _fill_diagonal(m, 0.0)
     support = np.flatnonzero(obj)
-    idx = np.concatenate([[0], support + 1])
+    live = np.flatnonzero(~empty)
+    if support.size == 0:
+        return [float(a.const)] * len(live)
+    coef, idx = obj[support], np.concatenate([[0], support + 1])
     minima = []
-    for cell in np.flatnonzero(~empty):
-        if support.size == 0:
-            minima.append(float(a.const))
-            continue
-        val = minimize_over_dbm(obj[support], m[cell][np.ix_(idx, idx)])
+    for sub in m[np.ix_(live, idx, idx)]:
+        val = minimize_over_dbm(coef, sub)
         minima.append(val + a.const if np.isfinite(val) else val)
     return minima
 
