@@ -20,6 +20,7 @@ inputs and flags give byte-identical JSON once timings are dropped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -236,8 +237,16 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run_cli``, built once per process: parsing keeps no
+    state in it, and building it costs more than a small grid query's
+    parse."""
+    return make_parser()
+
+
 def run_cli(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         check_eps(args.eps, "--eps")

@@ -309,10 +309,11 @@ def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False
     e[..., py, my] = k.sum_hi
     e[..., py, mx] = z.out_hi[..., :, None] + hi[..., None, :] - k.sum_slack
     e[..., px, my] = (hi[..., :, None] + z.out_hi[..., None, :]) - k.sum_slack.swapaxes(-2, -1)
-    # sup of -(v_i + v_j) at (-i, +j)
-    e[..., mx, px] = -(lo[..., :, None] + lo[..., None, :])
-    e[..., my, py] = -k.sum_lo
-    e[..., my, px] = -(z.out_lo[..., :, None] + lo[..., None, :] + k.sum_slack)
-    e[..., mx, py] = -((lo[..., :, None] + z.out_lo[..., None, :]) + k.sum_slack.swapaxes(-2, -1))
+    # sup of -(v_i + v_j) at (-i, +j), as 0 - (sum): the same float as
+    # -(sum) but +0.0 on a zero sum, so no -0.0 keeps the meet from mirroring
+    e[..., mx, px] = 0.0 - (lo[..., :, None] + lo[..., None, :])
+    e[..., my, py] = 0.0 - k.sum_lo
+    e[..., my, px] = 0.0 - (z.out_lo[..., :, None] + lo[..., None, :] + k.sum_slack)
+    e[..., mx, py] = 0.0 - ((lo[..., :, None] + z.out_lo[..., None, :]) + k.sum_slack.swapaxes(-2, -1))
     _fill_diagonal(e, 0.0)
     return e

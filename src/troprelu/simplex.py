@@ -24,6 +24,7 @@ the float range, the value is -inf, which is still a lower bound.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -32,25 +33,39 @@ INF = math.inf
 
 def minimize_over_dbm(objective: np.ndarray, entries: np.ndarray) -> float:
     """min objective.x over the closed DBM ``entries`` (slot 0 the constant,
-    ``objective[k]`` the coefficient of slot k + 1); -inf when unbounded."""
+    ``objective[k]`` the coefficient of slot k + 1); -inf when unbounded.
+    The one-matrix call of ``minimize_over_dbms``."""
+    return minimize_over_dbms(objective, np.asarray(entries)[None])[0]
+
+
+def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
+    """``minimize_over_dbm`` of one objective over each closed DBM of the
+    stack ``entries`` (C, s, s), in order.
+
+    The supplies, sources and sinks depend on the objective alone, so they
+    are set up once; the cost rows of every matrix come out of one gather
+    and one ``tolist``, and only the forced sum or ``_transport`` runs per
+    matrix.  A zero coefficient is neither a source nor a sink, so a
+    stack of whole zones gives the minima of their sub-DBMs on the
+    objective's support.
+    """
     a = [float(v) for v in objective]
     try:
         supply = [math.fsum(a)] + [-v for v in a]
     except OverflowError:
-        return -INF
+        return [-INF] * len(entries)
     src = [v for v, b in enumerate(supply) if b > 0]
     snk = [v for v, b in enumerate(supply) if b < 0]
     if not src:
-        return 0.0
+        return [0.0] * len(entries)
+    costs = entries[:, np.asarray(src)[:, None], snk].tolist()
     if len(src) == 1 or len(snk) == 1:
         # forced: a lone source meets every demand, a lone sink takes every supply
-        terms = [min(supply[s], -supply[t]) * float(entries[s, t]) for s in src for t in snk]
-        return _neg_sum(terms)
-    return _transport(
-        entries[np.ix_(src, snk)].tolist(),
-        [supply[s] for s in src],
-        [-supply[t] for t in snk],
-    )
+        flows = [min(supply[s], -supply[t]) for s in src for t in snk]
+        return [_neg_sum([f * c for f, c in zip(flows, chain.from_iterable(rows))]) for rows in costs]
+    sup = [supply[s] for s in src]
+    dem = [-supply[t] for t in snk]
+    return [_transport(rows, sup.copy(), dem.copy()) for rows in costs]
 
 
 def _transport(cost: list, sup: list, dem: list) -> float:

@@ -13,7 +13,8 @@ Under an input subdivision the check runs per grid cell of one cell-wise
 analysis (``AnalysisResult.cells``): the assertion is verified iff every
 cell whose box meets the assertion's input restriction passes.  The
 restriction is met into all those cell zones at once, and one stacked
-Floyd-Warshall pass closes them; only the LPs then run cell by cell.
+Floyd-Warshall pass closes them; the LPs of all cells share one set-up
+and only the transportation solver runs cell by cell.
 Refining the grid only shrinks per-cell zones, so a Verified verdict
 never flips back to Unknown.
 """
@@ -26,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dbm import Box, Dbm, EMPTY, _fill_diagonal, _shortest_paths, dbm_close, embed_dbm
+from .dbm import Box, Dbm, EMPTY, _shortest_paths, dbm_close, embed_dbm
 from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS, check_eps
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
-from .simplex import minimize_over_dbm
+from .simplex import minimize_over_dbm, minimize_over_dbms
 from .subdivision import SubdivisionGrid
 
 
@@ -123,12 +124,9 @@ def min_over_zone(
         work = dbm_close(work, eps=eps)
         if work is EMPTY:
             raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
-    support = np.flatnonzero(objective)
-    if support.size == 0:
+    if not objective.any():
         return float(constant)
-    # projection of a closed zone onto the support is the sub-DBM
-    sub = work.slice([int(s) + 1 for s in support])
-    val = minimize_over_dbm(objective[support], sub.entries)
+    val = minimize_over_dbm(objective, work.entries)
     return val + constant if np.isfinite(val) else val
 
 
@@ -193,8 +191,13 @@ def check(a: LinearAssertion, result: AnalysisResult, eps: float = DEFAULT_EPS) 
 def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, eps: float) -> list:
     """``min_over_zone`` of every grid cell whose box meets the assertion's
     restriction, on the cell met with the restriction, in cell order; cells
-    that the restriction empties are skipped.  The meets are closed in one
-    stacked pass, with the same arithmetic per cell as alone."""
+    that the restriction empties are skipped.
+
+    The meets are closed in one stacked pass, with the same arithmetic per
+    cell as alone; without a restriction too, since the closure of a cell
+    zone met with its own box can still move entries by rounding.  The LPs
+    of all live cells then share one set-up (``minimize_over_dbms``).
+    """
     lo, hi, zones = result._cell_stack
     if a.restrict is not None:
         lo, hi = lo.copy(), hi.copy()
@@ -210,17 +213,11 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     slots = [s + 1 for s in result.input_slots]
     restr = embed_dbm(Box(lo, hi).to_dbm(), slots, zones.shape[-1] - 1)
     m, empty = _shortest_paths(np.minimum(zones, restr.entries), eps)
-    _fill_diagonal(m, 0.0)
-    support = np.flatnonzero(obj)
-    live = np.flatnonzero(~empty)
-    if support.size == 0:
-        return [float(a.const)] * len(live)
-    coef, idx = obj[support], np.concatenate([[0], support + 1])
-    minima = []
-    for sub in m[np.ix_(live, idx, idx)]:
-        val = minimize_over_dbm(coef, sub)
-        minima.append(val + a.const if np.isfinite(val) else val)
-    return minima
+    if empty.any():
+        m = m[~empty]
+    if not obj.any():
+        return [float(a.const)] * len(m)
+    return [v + a.const if np.isfinite(v) else v for v in minimize_over_dbms(obj, m)]
 
 
 def check_with_subdivision(

@@ -150,24 +150,48 @@ def _block_rows(per_row: int) -> int:
 
 
 def _residuals(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """raw[i, j] = min_k (points[i, k] - gens[j, k]), in row blocks."""
-    raw = np.empty((points.shape[0], gens.shape[0]))
-    step = _block_rows(gens.size)
+    """raw[i, j] = min_k (points[i, k] - gens[j, k]), in row blocks.
+
+    The min runs over k one coordinate at a time, each step an elementwise
+    min of two (i, j) planes, rather than over a trailing axis of length d
+    (the 5 coordinates of a report), which reduces with one strided step
+    per element and at a speed that depends on whether the points come C-
+    or F-ordered.  min is exact, so the order of the reduction changes no
+    value.
+    """
+    # coordinate k of every row as one contiguous run, whatever the input layout
+    pts, gt = np.ascontiguousarray(points.T), np.ascontiguousarray(gens.T)
+    raw = np.full((points.shape[0], gens.shape[0]), np.inf)
+    step = _block_rows(gens.shape[0])
     for start in range(0, points.shape[0], step):
-        raw[start : start + step] = (points[start : start + step, None, :] - gens[None]).min(axis=2)
+        block = raw[start : start + step]
+        diff = np.empty_like(block)
+        for pk, gk in zip(pts[:, start : start + step, None], gt):
+            np.minimum(block, np.subtract(pk, gk, out=diff), out=block)
     return raw
 
 
 def _combines(points: np.ndarray, gens: np.ndarray, raw: np.ndarray, eps: float) -> np.ndarray:
     """The test of ``internal_membership`` for every point row at once, from
     ``raw = _residuals(points, gens)``; a -inf residual leaves that
-    generator out of that point's hull."""
+    generator out of that point's hull.
+
+    One coordinate k at a time (see ``_residuals``): recon[i] = max_j
+    (gens[j, k] + lam[i, j]) reduces over j, the contiguous axis of an
+    (i, j) plane, and a point fails when |recon[i] - points[i, k]| > eps at
+    some k.  max is exact, and abs hides the one thing the order could
+    change, the sign of a zero.
+    """
     out = raw.max(axis=1) >= -eps
     lam = np.minimum(0.0, raw)
-    step = _block_rows(gens.size)
+    pts, gt = np.ascontiguousarray(points.T), np.ascontiguousarray(gens.T)
+    step = _block_rows(gens.shape[0])
     for start in range(0, points.shape[0], step):
-        recon = (gens[None] + lam[start : start + step, :, None]).max(axis=1)
-        out[start : start + step] &= np.abs(recon - points[start : start + step]).max(axis=1) <= eps
+        lb, ok = lam[start : start + step], out[start : start + step]
+        plane = np.empty_like(lb)
+        for pk, gk in zip(pts[:, start : start + step], gt):
+            recon = np.add(lb, gk, out=plane).max(axis=1)
+            ok &= np.abs(recon - pk) <= eps
     return out
 
 
@@ -232,13 +256,18 @@ def internal_to_zone(poly: TropInternal) -> Dbm:
 def _distinct(raw: np.ndarray, eps: float) -> list:
     """Row indices without near-duplicates (max-abs within eps), first
     occurrence kept, in order, from ``raw = _residuals(g, g)``: rows i and
-    j differ by max(-raw[i, j], -raw[j, i]) in max-abs."""
-    near = np.minimum(raw, raw.T) >= -eps
-    keep = [0]
-    for i in range(1, raw.shape[0]):
-        if not near[i, keep].any():
-            keep.append(i)
-    return keep
+    j differ by max(-raw[i, j], -raw[j, i]) in max-abs.
+
+    A row with no near-duplicate among the rows before it is kept whatever
+    the others do, so all such rows are kept at once; only the rows that
+    have one are scanned, in order, each kept iff none of the rows kept
+    before it is near, which is the greedy first-occurrence scan.
+    """
+    near = np.tril(np.minimum(raw, raw.T) >= -eps, -1)
+    keep = ~near.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not near[i, keep].any()
+    return np.flatnonzero(keep).tolist()
 
 
 def _first_distinct(g: np.ndarray, eps: float) -> list:
