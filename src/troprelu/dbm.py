@@ -174,13 +174,6 @@ class Dbm:
         """Number of variables, excluding the constant slot."""
         return self.entries.shape[-1] - 1
 
-    def upper(self, i: int) -> float:
-        """Upper bound of x_i (1-based variable slot)."""
-        return float(self.entries[i, 0])
-
-    def lower(self, i: int) -> float:
-        return float(-self.entries[0, i])
-
     def slice(self, slots: Sequence[int]) -> "Dbm":
         """Sub-DBM on the given variable slots (1-based), keeping slot 0.
 

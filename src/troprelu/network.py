@@ -46,9 +46,10 @@ pre-activation plus block, built for the record only.  Every record also
 lists the step's slot counts under ``sizes``.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
-layer's pre-activation zone as n + 1 points, clamped, projected and then
-filtered once.  The analysis keeps that zone and builds the generators on
-first access, so a run whose result is only checked never builds them.
+layer's pre-activation zone as n + 1 points, clamped and projected onto the
+tracked slots (``tropical._zone_points``).  The analysis keeps these points
+instead of the zone and filters them on first access, so a run whose
+result is only checked never filters.
 
 With a subdivision grid (``AnalysisOptions.subdiv``) the loop runs once
 for all cells, in either domain: every box, zone, octagon and layer
@@ -60,10 +61,12 @@ go through in chunks that keep each stacked matrix within
 ``_CELL_FLOATS`` floats.  A run without a grid is the same loop on one
 box, without the cell axis.  The grid must have one axis per input and
 lie inside the input box.  The cells are joined: the zone, the
-generators (the union of the cells' generators, also built on first
+generators (the union of the cells' generators, also filtered on first
 access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
-decides assertions cell by cell without analysing again.
+decides assertions cell by cell without analysing again.  ``internal``
+filters the cells' points in groups of whole cells (``_HULL_ROWS``), so
+its residual matrix grows with the hull, not with the grid.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ from .dbm import (
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
     oct_close,
 )
-from .errors import BadIndex, DimensionMismatch, EmptyAbstraction, InvalidDomain, TropReluError
+from .errors import BadIndex, DimensionMismatch, EmptyAbstraction, InfiniteEntry, InvalidDomain, TropReluError
 from .maxplus import BOTTOM, DEFAULT_EPS, check_eps
 from .layers import (
     AffineLayer,
@@ -100,7 +103,7 @@ from .layers import (
     zone_external,
 )
 from .subdivision import SubdivisionGrid, check_cell_budget
-from .tropical import TropExternal, TropInternal, extreme_filter, zone_to_internal
+from .tropical import TropExternal, TropInternal, _zone_points, extreme_filter
 
 
 class ChainMode(Enum):
@@ -334,9 +337,9 @@ class AnalysisOptions:
 class AnalysisResult:
     """Everything the checkers and the CLI need from one analysis run.
 
-    ``internal`` (the generators over the tracked dimensions) is built on
-    first access from the pre-activation zones kept in ``_gen_parts`` and
-    then kept; nothing in ``analyze`` or ``speccheck.check`` reads it.
+    ``internal`` (the generators over the tracked dimensions) is filtered
+    on first access from the points kept in ``_hull`` and then kept;
+    nothing in ``analyze`` or ``speccheck.check`` reads it.
     """
 
     var_map: list  # (stage, neuron) per tracked dimension
@@ -347,21 +350,23 @@ class AnalysisResult:
     diagnostics: dict = field(default_factory=dict)
     # a grid's cell corners lo, hi (C, m) and closed cell zones (C, s, s)
     _cell_stack: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (closed pre-activation zone, ReLU slots, kept slots) per analysed box
-    _gen_parts: list = field(default_factory=list, repr=False, compare=False)
+    # unfiltered hull points (cells, n + 1, tracked); None if unbounded
+    _hull: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _eps: float = field(default=DEFAULT_EPS, repr=False, compare=False)
 
     @cached_property
     def internal(self) -> TropInternal:
-        """Hull of the tracked dimensions: each part's n + 1 zone points,
-        unfiltered, with clamped copies of its ReLU slots appended, projected
-        onto its kept slots and stacked in cell order, through one
-        ``extreme_filter``."""
-        points = []
-        for pre_zone, relu_vars, sel in self._gen_parts:
-            g = zone_to_internal(pre_zone, filtered=False).generators
-            points.append(np.hstack([g, np.maximum(g[:, relu_vars], 0.0)])[:, sel])
-        return extreme_filter(TropInternal(np.vstack(points)), eps=self._eps)
+        """Hull of the tracked dimensions: the cells' points through
+        ``extreme_filter``, in groups of whole cells (``_HULL_ROWS``)."""
+        if self._hull is None:
+            raise InfiniteEntry("the hull needs finite pre-activation zones (bounded zones)")
+        cells, rows, dim = self._hull.shape
+        step = max(1, _HULL_ROWS // rows)
+        hull = np.empty((0, dim))
+        for i in range(0, cells, step):
+            points = np.vstack([hull, self._hull[i : i + step].reshape(-1, dim)])
+            hull = extreme_filter(TropInternal(points), eps=self._eps).generators
+        return TropInternal(hull)
 
     @cached_property
     def cells(self) -> list:
@@ -396,6 +401,7 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
 # most floats one stacked matrix of the cell engine may hold: cells are
 # analysed in chunks small enough for that (32 MB)
 _CELL_FLOATS = 1 << 22
+_HULL_ROWS = 256  # most points one step of ``internal`` adds to the hull so far
 
 
 def _cell_floats(net: Network, track_all: bool, octagon: bool = False) -> int:
@@ -418,8 +424,8 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
     zones (a join of closed DBMs is closed) and each stage's bounds the
     hull of the cells' stage boxes.  ``cells`` and the stacked form that
     ``speccheck.check`` reads keep each cell's box and zone.  Each cell's
-    pre-activation zone is kept too: the cell's generators are tighter
-    than its zone, so ``internal`` is their union, built when first read.
+    hull points are kept too: the cell's generators are tighter than its
+    zone, so ``internal`` is their union, filtered when first read.
     """
     grid = options.subdiv
     if grid.dim != net.n_inputs:
@@ -456,12 +462,7 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
             "seconds": time.perf_counter() - t0,
         },
         _cell_stack=(lo, hi, zones),
-        _gen_parts=[
-            (Dbm(pre, closed=True), relu_vars, sel)
-            for r in parts
-            for stack, relu_vars, sel in r._gen_parts
-            for pre in stack.entries
-        ],
+        _hull=None if any(r._hull is None for r in parts) else np.concatenate([r._hull for r in parts]),
         _eps=options.eps,
     )
 
@@ -550,6 +551,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         del big  # the largest matrix of the step; free before the next one
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
+    m = pre_zone.entries  # kept as its hull points; None (``internal`` raises) if unbounded
+    hull = _zone_points(m, np.add(kept + pre, 1), n_new if act else 0) if np.isfinite(m).all() else None
     diag = {
         "mode": options.mode.value,
         "domain": options.domain.value,
@@ -564,7 +567,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
         diagnostics=diag,
-        _gen_parts=[(pre_zone, pre if act else [], sel)],
+        _hull=hull,
         _eps=eps,
     ), layers
 

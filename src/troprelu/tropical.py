@@ -211,27 +211,31 @@ def internal_membership_many(
     return _combines(pts, poly.generators, _residuals(pts, poly.generators), eps)
 
 
-def zone_to_internal(
-    zone: Dbm, eps: float = DEFAULT_EPS, *, filtered: bool = True
-) -> TropInternal:
+def zone_to_internal(zone: Dbm, eps: float = DEFAULT_EPS) -> TropInternal:
     """Generator form of a closed bounded zone: n + 1 explicit points.
 
     The lower corner A = (-c_{0,1}, ..., -c_{0,n}) plus, for each variable
     k, the point B_k = (c_{k,0} - c_{k,1}, ..., c_{k,0} - c_{k,n}) where
     x_k sits at its maximum.  Closedness makes these points feasible and
-    their hull exactly the zone.  They go through ``extreme_filter``
-    unless ``filtered`` is off, for a caller that filters them later
-    together with other points.
+    their hull exactly the zone.  They go through ``extreme_filter``.
     """
     m = zone.entries
     if not zone.closed:
         raise NotClosed("zone_to_internal needs a closed DBM")
     if not np.isfinite(m).all():
         raise InfiniteEntry("zone_to_internal needs finite entries (bounded zone)")
-    a = -m[0, 1:]
-    b = m[1:, 0][:, None] - m[1:, 1:]
-    points = TropInternal(np.vstack([a, b]))
-    return extreme_filter(points, eps=eps) if filtered else points
+    return extreme_filter(TropInternal(_zone_points(m, np.arange(1, m.shape[-1]))[0]), eps=eps)
+
+
+def _zone_points(m: np.ndarray, cols, clamped: int = 0) -> np.ndarray:
+    """The points of ``zone_to_internal``, unfiltered, of a closed bounded
+    zone m or of each zone of a stack, on the 1-based slots ``cols``, the
+    last ``clamped`` of them clamped at 0: a (zones, n + 1, len(cols))
+    array, the form in which a result keeps its last pre-activation zone."""
+    m = m.reshape((-1,) + m.shape[-2:])
+    points = np.concatenate([-m[:, :1, cols], m[:, 1:, :1] - m[:, 1:, cols]], axis=1)
+    points[..., len(cols) - clamped :] = np.maximum(points[..., len(cols) - clamped :], 0.0)
+    return points
 
 
 def internal_to_zone(poly: TropInternal) -> Dbm:

@@ -9,8 +9,9 @@ product form: no (n, n, m) temporary.
 
 ``network._oct_relu_append`` writes only the kept slots and the clamped
 copies; before closure its matrix is the old full transfer cut to those
-slots, bit for bit.  ``AnalysisResult.internal`` stacks the parts' raw
-zone points and filters them once.
+slots, bit for bit.  The analysis keeps each cell's last pre-activation
+zone as its unfiltered hull points, and ``AnalysisResult.internal`` stacks
+them and filters them once.
 """
 
 from __future__ import annotations
@@ -37,12 +38,32 @@ from troprelu import (
     zone_constants,
     zone_to_internal,
 )
-from troprelu.dbm import OctDbm, oct_close
+from troprelu.dbm import Dbm, OctDbm, oct_close
 from troprelu.network import AbsDomain
 
+from test_lazy_generators import pre_zones  # noqa: F401  (a fixture)
 from test_oct_closure import _pair_block_loop, random_octagon
 
 REL = 1e-12
+
+
+def last_layer_slots(net):
+    """The last layer's ReLU slots and tracked slots in its (old, pre, post)
+    space, inputs and outputs tracked: the old slots are the inputs and the
+    layer before."""
+    n_old = net.n_inputs + (net.sizes[-2] if net.n_layers > 1 else 0)
+    pre = list(range(n_old, n_old + net.n_outputs))
+    if not net.final_relu:
+        return [], list(range(net.n_inputs)) + pre
+    return pre, list(range(net.n_inputs)) + [i + net.n_outputs for i in pre]
+
+
+def clamped_points(m, relu_vars, sel):
+    """A closed zone's n + 1 points, as ``zone_to_internal`` builds them
+    before its filter, with clamped copies of ``relu_vars`` appended and
+    the ``sel`` columns kept."""
+    raw = np.vstack([-m[0, 1:], m[1:, 0][:, None] - m[1:, 1:]])
+    return np.hstack([raw, np.maximum(raw[:, relu_vars], 0.0)])[:, sel]
 
 
 def where_zone(w, b, lo, hi):
@@ -232,23 +253,29 @@ class TestOneFilter:
         assert filters[0] == 1
 
     @pytest.mark.parametrize("domain", list(AbsDomain))
-    def test_same_points_as_filtering_each_part(self, running2_net, unit_box2, domain):
+    def test_same_points_as_filtering_each_part(self, pre_zones, running2_net, unit_box2, domain):
         # each part through zone_to_internal's own filter first, as before
         grid = SubdivisionGrid.uniform(unit_box2, [2, 2])
         res = analyze(running2_net, unit_box2, AnalysisOptions(domain=domain, subdiv=grid))
+        relu_vars, sel = last_layer_slots(running2_net)
+        stack = pre_zones[-1].entries
+        assert stack.shape[0] == grid.n_cells == res._hull.shape[0]
         points = []
-        for pre_zone, relu_vars, sel in res._gen_parts:
-            g = zone_to_internal(pre_zone).generators
+        for cell, m in enumerate(stack):
+            g = zone_to_internal(Dbm(m, closed=True)).generators
             points.append(np.hstack([g, np.maximum(g[:, relu_vars], 0.0)])[:, sel])
+            assert np.array_equal(res._hull[cell], clamped_points(m, relu_vars, sel)), cell
         want = extreme_filter(TropInternal(np.vstack(points)))
         assert np.array_equal(res.internal.generators, want.generators)
 
-    def test_unfiltered_points(self, running_net, unit_box2):
-        pre_zone = analyze(running_net, unit_box2)._gen_parts[0][0]
-        raw = zone_to_internal(pre_zone, filtered=False).generators
+    def test_unfiltered_points(self, pre_zones, running_net, unit_box2):
+        res = analyze(running_net, unit_box2)
+        pre_zone = pre_zones[-1]
         m = pre_zone.entries
-        assert raw.shape == (m.shape[0], m.shape[0] - 1)
-        assert np.array_equal(raw[0], -m[0, 1:])
+        raw = np.vstack([-m[0, 1:], m[1:, 0][:, None] - m[1:, 1:]])
+        relu_vars, sel = last_layer_slots(running_net)
+        assert res._hull.shape == (1, m.shape[0], len(sel))
+        assert np.array_equal(res._hull[0], clamped_points(m, relu_vars, sel))
         assert np.array_equal(
             extreme_filter(TropInternal(raw)).generators, zone_to_internal(pre_zone).generators
         )

@@ -165,7 +165,7 @@ class TestOnDemand:
             check(a, res)
             assert calls == dict.fromkeys(calls, 0), calls
             first = res.internal
-            assert calls["zone_to_internal"] == (4 if subdiv else 1)
+            assert calls["zone_to_internal"] == 0
             assert calls["extreme_filter"] > 0
             built = dict(calls)
             assert res.internal is first

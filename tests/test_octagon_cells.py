@@ -21,7 +21,8 @@ from troprelu.errors import EmptyAbstraction
 from troprelu.network import AbsDomain
 
 from test_layer_chain import battery
-from test_stacked_cells import assertions_of, outcome, same_bits
+from test_lazy_generators import pre_zones  # noqa: F401  (a fixture)
+from test_stacked_cells import assertions_of, last_pre_zones, outcome, same_bits
 
 OCTAGON = AnalysisOptions(domain=AbsDomain.OCTAGON)
 
@@ -52,14 +53,17 @@ class TestChunkSize:
         assert network._cell_floats(net, True, True) == 4 * network._cell_floats(net, True)
 
     @pytest.mark.parametrize("per_chunk", [4, 12])
-    def test_chunks_change_nothing(self, monkeypatch, per_chunk):
+    def test_chunks_change_nothing(self, monkeypatch, pre_zones, per_chunk):
         # 8 cells in chunks of one, or of three with the last one partial:
         # the patched budget counts zone-sized cells, four per octagon cell
         for track_all in (False, True):
             options = replace(OCTAGON, track_all=track_all)
             for net, box, objectives in battery()[:12]:
                 opts = replace(options, subdiv=SubdivisionGrid.uniform(box, [2, 4] + [1] * (box.dim - 2)))
+                pre_zones.clear()
                 whole = outcome(analyze, net, box, opts)
+                whole_zones = pre_zones[:]
+                pre_zones.clear()
                 with monkeypatch.context() as m:
                     m.setattr(network, "_CELL_FLOATS", per_chunk * network._cell_floats(net, track_all))
                     split = outcome(analyze, net, box, opts)
@@ -70,8 +74,9 @@ class TestChunkSize:
                 assert same_bits(split._cell_stack[2], whole._cell_stack[2])
                 for a, b in zip(split.bounds, whole.bounds):
                     assert same_bits(a.lo, b.lo) and same_bits(a.hi, b.hi)
-                for a, b in zip(split._gen_parts, whole._gen_parts):
-                    assert same_bits(a[0].entries, b[0].entries) and a[1:] == b[1:]
+                whole_pre = last_pre_zones(whole_zones, net)
+                assert same_bits(last_pre_zones(pre_zones, net), whole_pre) and len(whole_pre) == 8
+                assert same_bits(split._hull, whole._hull)
                 for a in assertions_of(box, objectives):
                     assert check(a, split) == check(a, whole)
 

@@ -41,6 +41,7 @@ from troprelu.errors import (
 
 from conftest import FIXTURES
 from test_layer_chain import battery, settings
+from test_lazy_generators import pre_zones  # noqa: F401  (a fixture)
 
 SETTINGS = list(settings())
 IDS = [name for name, _ in SETTINGS]
@@ -94,6 +95,14 @@ def per_cell(net, grid, options, assertions, eps=1e-9):
     return cells, zone, lo, hi, verdicts
 
 
+def last_pre_zones(zones, net):
+    """Each cell's last pre-activation zone, in cell order, from the zones
+    the ``pre_zones`` spy recorded over one analysis: one per layer and
+    chunk of cells (a chunk's zones are stacked), or per layer and cell."""
+    last = [z.entries for z in zones[net.n_layers - 1 :: net.n_layers]]
+    return np.concatenate([m.reshape((-1,) + m.shape[-2:]) for m in last])
+
+
 def same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(
@@ -110,24 +119,29 @@ def outcome(fn, *args):
 
 class TestStackedMatchesPerCell:
     @pytest.mark.parametrize("name, options", SETTINGS, ids=IDS)
-    def test_battery(self, name, options):
+    def test_battery(self, pre_zones, name, options):
         failures = 0
         for idx, (net, box, objectives) in enumerate(battery()):
             grid = grid_of(box)
             assertions = assertions_of(box, objectives)
+            pre_zones.clear()
             want = outcome(per_cell, net, grid, options, assertions)
+            want_zones = pre_zones[:]
+            pre_zones.clear()
             got = outcome(analyze, net, box, replace(options, subdiv=grid))
             if isinstance(want, tuple) and not isinstance(want[0], list):
                 assert got == want, idx  # the same error as the first failing cell's
                 failures += 1
                 continue
             cells, zone, lo, hi, verdicts = want
-            assert len(got.cells) == grid.n_cells == len(got._gen_parts), idx
-            for (cell, z), (want_cell, res), part in zip(got.cells, cells, got._gen_parts):
+            got_pre, want_pre = last_pre_zones(pre_zones, net), last_pre_zones(want_zones, net)
+            assert len(got.cells) == grid.n_cells == len(got._hull) == len(got_pre), idx
+            per_cell_parts = zip(got.cells, cells, got_pre, want_pre, got._hull)
+            for (cell, z), (want_cell, res), pre, want_m, hull in per_cell_parts:
                 assert same_bits(cell.lo, want_cell.lo) and same_bits(cell.hi, want_cell.hi), idx
                 assert same_bits(z.entries, res.zone.entries), idx
-                assert same_bits(part[0].entries, res._gen_parts[0][0].entries), idx
-                assert part[1:] == res._gen_parts[0][1:], idx
+                assert same_bits(pre, want_m), idx
+                assert same_bits(hull, res._hull[0]), idx
             assert same_bits(got.zone.entries, zone), idx
             for s, b in enumerate(got.bounds):
                 assert same_bits(b.lo, lo[s]) and same_bits(b.hi, hi[s]), (idx, s)
@@ -140,11 +154,14 @@ class TestStackedMatchesPerCell:
 class TestChunks:
     @pytest.mark.parametrize("name, options", SETTINGS[:2] + SETTINGS[-2:], ids=IDS[:2] + IDS[-2:])
     @pytest.mark.parametrize("per_chunk", [1, 3])
-    def test_chunks_change_nothing(self, monkeypatch, name, options, per_chunk):
+    def test_chunks_change_nothing(self, monkeypatch, pre_zones, name, options, per_chunk):
         # 8 cells in chunks of one, or of three with the last one partial
         for net, box, objectives in battery()[:12]:
             opts = replace(options, subdiv=SubdivisionGrid.uniform(box, [2, 4] + [1] * (box.dim - 2)))
+            pre_zones.clear()
             whole = outcome(analyze, net, box, opts)
+            whole_zones = pre_zones[:]
+            pre_zones.clear()
             with monkeypatch.context() as m:
                 m.setattr(network, "_CELL_FLOATS", per_chunk * network._cell_floats(net, options.track_all))
                 split = outcome(analyze, net, box, opts)
@@ -155,8 +172,9 @@ class TestChunks:
             assert same_bits(split._cell_stack[2], whole._cell_stack[2])
             for a, b in zip(split.bounds, whole.bounds):
                 assert same_bits(a.lo, b.lo) and same_bits(a.hi, b.hi)
-            for a, b in zip(split._gen_parts, whole._gen_parts):
-                assert same_bits(a[0].entries, b[0].entries) and a[1:] == b[1:]
+            whole_pre = last_pre_zones(whole_zones, net)
+            assert same_bits(last_pre_zones(pre_zones, net), whole_pre) and len(whole_pre) == 8
+            assert same_bits(split._hull, whole._hull)
             for a in assertions_of(box, objectives):
                 assert check(a, split) == check(a, whole)
 
