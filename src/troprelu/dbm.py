@@ -410,15 +410,10 @@ def oct_close(
     Miné, HOSC 2006).  A cycle below -eps after either step means EMPTY;
     on a stack, each octagon is closed alone and EMPTY means one is empty.
 
-    ``changed`` lists the variables (0-based) whose rows and columns may
-    have changed; the pass then pivots only on their two slots each.  That
-    is the full closure whenever every other slot u is already a satisfied
-    pivot, m[p, q] <= m[p, u] + m[u, q] for all p, q: each shortest path
-    can then drop its unchanged intermediate vertices.  It holds when the
-    unchanged slots are strongly closed among themselves and no changed
-    entry exceeds its paths through them, as for the clamped copies that
-    ``network._oct_relu_append`` appends.  Without ``changed`` every slot
-    pivots.
+    ``changed`` (passed by tests only) lists the variables (0-based) whose
+    rows and columns may have changed, and the pass pivots only on their
+    slots.  That is the full closure whenever every other slot u is already
+    a satisfied pivot, m[p, q] <= m[p, u] + m[u, q] for all p, q.
     """
     check_eps(eps)
     n = o.dim

@@ -39,11 +39,11 @@ In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
 through closure.  The meet is closed through +-current layer and then
 strengthened; ``_oct_relu_append`` writes the same exact entries there,
-for the kept variables and the clamped copies only, and closes them.  The
-full (old, pre, post) octagon is never built: with ``keep_layer_records``
-each layer's record holds the exact zone ReLU image of the octagon's
-pre-activation plus block, built for the record only.  Every record also
-lists the step's slot counts under ``sizes``.
+for the kept variables and the clamped copies only, strongly closed with
+no closure pass.  The full (old, pre, post) octagon is never built: with
+``keep_layer_records`` each layer's record holds the exact zone ReLU
+image of the octagon's pre-activation plus block, built for the record
+only.  Every record also lists the step's slot counts under ``sizes``.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 points, clamped and projected onto the
@@ -82,8 +82,8 @@ import numpy as np
 from .dbm import (
     Box,
     Dbm,
-    EMPTY,
     OctDbm,
+    _coherence_min,
     _fill_diagonal,
     _interface_close,
     _strengthen,
@@ -260,21 +260,29 @@ def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
 
 
 def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] = None):
-    """Append clamped copies g_i = max(0, h_i) to a closed octagon, or to
-    each octagon of a stack, and keep the variables ``keep`` (default all)
-    followed by the copies.
+    """Append g_i = max(0, h_i) to a strongly closed octagon m (or a stack),
+    keeping the variables ``keep`` (default all), then the copies: strongly
+    closed as built after the coherence step (``eps`` is unused).
 
-    Clamping distributes over sups: sup(max(0, h) - s) equals
-    max(sup(-s), sup(h - s)), and symmetrically with min for the negated
-    copy, so every new entry is the exact pairwise transfer of the closed
-    input entries.  Only the kept slots and the copies are written: the
-    kept block of the input, then each copy's transfer rows and columns
-    against the kept slots, all copies at once.  A pair of copies is
-    decomposed through each copy's transfer against the other's h slots.
-    The closure then pivots on the copies alone: the kept slots are
-    strongly closed, every new entry is bounded by their paths, and a pass
-    over the copies never goes through a dropped slot, so the kept entries
-    are those of the full closure.
+    Proof, in exact arithmetic.  Add a zero slot z, D[p, z] = m[p, p̄] / 2
+    and D[z, q] = m[q̄, q] / 2: m is strongly closed iff D is closed.  Over
+    D, +g = max(z, +h) and -g = min(z, -h); +g's row and -g's column take
+    the max over that choice of slot (the sup of a max is the max of sups),
+    -g's row and +g's column the min (the sup of a min is at most it).
+    Each entry N[p, q] is the max over the max sides' choices of the min
+    over the min sides' of D[p's, q's choice]: D on kept x kept; a max or
+    min of two D entries for a copy against a kept slot or z (g_hi / 2,
+    g_lo / 2), mirrored as the same floats; for two copies, built with the
+    column's choice outermost and mirrored with the row's, and where these
+    differ coherence keeps the max-outside one (max-min <= min-max).  N is
+    closed: fix N[p, q]'s max choices; r's side in N[p, r] or in N[r, q] is
+    a min side, at the choice attaining that entry; the other entry is at
+    least its inner min at r's same choice, and D's triangle inequality
+    through that choice gives N[p, q] <= N[p, r] + N[r, q].  Diagonals are
+    0, as D[z, h] + D[h, z] >= 0.  So every triangle and (through z)
+    half-sum inequality holds, also on the kept slots.  The build is exact
+    in floats (min, max, halves, doubles): a closure pass would move only
+    the input's rounding.
     """
     n = o.dim
     r = len(h_vars)
@@ -314,10 +322,7 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] =
     e[..., gp, gm] = g_hi
     e[..., gm, gp] = g_lo
     _fill_diagonal(e, 0.0)
-    out = oct_close(OctDbm(e), eps=eps, changed=range(k, size))
-    if out is EMPTY:
-        raise EmptyAbstraction("octagon ReLU transfer produced an empty octagon")
-    return out
+    return OctDbm(_coherence_min(e, size), closed=True)
 
 
 @dataclass(frozen=True)
@@ -407,7 +412,7 @@ _HULL_ROWS = 256  # most points one step of ``internal`` adds to the hull so far
 def _cell_floats(net: Network, track_all: bool, octagon: bool = False) -> int:
     """Floats of the largest matrix the layer loop builds for one cell: a
     layer's meet with its ReLU copies appended; with ``octagon`` four times
-    that, for the doubled meet and the copies its closure keeps alive."""
+    that, for the doubled meet and the ReLU image built from it."""
     largest = 1
     for li in range(net.n_layers):
         hidden = sum(net.sizes[1:li]) if track_all else 0
@@ -586,14 +591,13 @@ def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, e
 def _step_sizes(octagon: bool, n_old: int, n_cur: int, n_new: int, n_kept: int, act: bool) -> dict:
     """Slot counts of one layer step: the closed meet and its interface
     (with slot 0 in a zone, doubled in an octagon), and in the octagon
-    domain the ReLU closure's slots and pivots (0 without a ReLU)."""
+    domain the ReLU image's slots (0 without a ReLU)."""
     if not octagon:
         return {"meet_slots": 1 + n_old + n_new, "interface_slots": 1 + n_cur}
     return {
         "meet_slots": 2 * (n_old + n_new),
         "interface_slots": 2 * n_cur,
         "relu_slots": 2 * (n_kept + n_new) if act else 0,
-        "relu_pivots": 2 * n_new if act else 0,
     }
 
 
@@ -614,8 +618,8 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     """One layer of the octagon chain in the doubled space, on one octagon
     or a stack, with the layer's octagon constants ``k_oct``: the carried
     octagon met with the layer's, closed through their interface
-    (+-current layer) and strengthened, then the ReLU copies closed on the
-    ``kept`` variables.
+    (+-current layer) and strengthened, then the ReLU image on the ``kept``
+    variables.
 
     Returns the next octagon over (kept, post or pre), its plus-block zone
     and the plus-block zone of the (old, pre) space before ReLU.

@@ -8,8 +8,8 @@ the size of the summed terms.  The memory tests pin the point of the
 product form: no (n, n, m) temporary.
 
 ``network._oct_relu_append`` writes only the kept slots and the clamped
-copies; before closure its matrix is the old full transfer cut to those
-slots, bit for bit.  The analysis keeps each cell's last pre-activation
+copies; before and after its coherence step its matrix is the old full
+transfer cut to those slots, bit for bit.  The analysis keeps each cell's last pre-activation
 zone as its unfiltered hull points, and ``AnalysisResult.internal`` stacks
 them and filters them once.
 """
@@ -38,7 +38,7 @@ from troprelu import (
     zone_constants,
     zone_to_internal,
 )
-from troprelu.dbm import Dbm, OctDbm, oct_close
+from troprelu.dbm import Dbm, OctDbm, _coherence_min, oct_close
 from troprelu.network import AbsDomain
 
 from test_lazy_generators import pre_zones  # noqa: F401  (a fixture)
@@ -194,14 +194,14 @@ class TestMemory:
 
 @pytest.fixture
 def relu_calls(monkeypatch):
-    """Every (matrix, changed) pair ``_oct_relu_append`` closes."""
+    """Every matrix ``_oct_relu_append`` hands to its coherence step."""
     calls = []
 
-    def spy(o, eps=1e-9, changed=None):
-        calls.append((o.entries.copy(), list(changed)))
-        return oct_close(o, eps=eps, changed=changed)
+    def spy(m, n):
+        calls.append(m.copy())
+        return _coherence_min(m, n)
 
-    monkeypatch.setattr(network, "oct_close", spy)
+    monkeypatch.setattr(network, "_coherence_min", spy)
     return calls
 
 
@@ -209,8 +209,8 @@ class TestKeptSlotBuild:
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_full_transfer_cut(self, seed, integer, relu_calls):
-        # before closure: the full (n + r)-variable transfer cut to the
-        # kept variables and the copies, signed zeros included
+        # before and after coherence: the full (n + r)-variable transfer cut
+        # to the kept variables and the copies, signed zeros included
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(1, 6))
         r = int(rng.integers(1, 6))
@@ -218,15 +218,17 @@ class TestKeptSlotBuild:
         order = rng.permutation(n + r)
         h_vars = order[:r].tolist()
         keep = sorted(order[r : r + int(rng.integers(0, n + 1))].tolist())
-        network._oct_relu_append(base, h_vars, 1e-9, keep=keep)
-        (got, changed), = relu_calls
+        out = network._oct_relu_append(base, h_vars, 1e-9, keep=keep).entries
+        (got,) = relu_calls
         full = _pair_block_loop(base, h_vars)
         vars_ = keep + list(range(n + r, n + 2 * r))
         slots = np.asarray(vars_ + [v + n + 2 * r for v in vars_], dtype=int)
         want = full[np.ix_(slots, slots)]
-        assert changed == list(range(len(keep), len(keep) + r))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        want = _coherence_min(want, len(vars_))
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
 
 
 class TestOneFilter:

@@ -220,13 +220,47 @@ def chain_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def relu_images(monkeypatch):
+    """Every octagon ``_oct_relu_append`` returns in the chain."""
+    images = []
+    relu_append = network._oct_relu_append
+
+    def spy(*args, **kwargs):
+        images.append(relu_append(*args, **kwargs))
+        return images[-1]
+
+    monkeypatch.setattr(network, "_oct_relu_append", spy)
+    return images
+
+
+@pytest.fixture
+def coherence_calls(monkeypatch):
+    """Every matrix the octagon ReLU transfer hands to its coherence step."""
+    calls = []
+
+    def spy(m, n):
+        calls.append(m.copy())
+        return _coherence_min(m, n)
+
+    monkeypatch.setattr(network, "_coherence_min", spy)
+    return calls
+
+
 class TestDeepChain:
     @pytest.mark.parametrize("seed", range(4))
-    def test_chain_matrices(self, seed, chain_calls):
+    def test_chain_matrices(self, seed, chain_calls, relu_images):
         rng = np.random.default_rng(seed)
         net = _deep_net(rng)
         analyze(net, Box(-np.ones(4), np.ones(4)), AnalysisOptions(domain=AbsDomain.OCTAGON))
-        assert sum(c is not None for _, c in chain_calls) == net.n_layers - 1
+        assert len(relu_images) == net.n_layers - 1
+        for image in relu_images:
+            # the ReLU image is returned unclosed: it must be strongly closed already
+            assert_strongly_closed(image)
+            full = oct_close(OctDbm(image.entries))
+            assert isinstance(full, OctDbm)
+            assert_close(image, full)
+            assert_close(full, _oct_close_64(OctDbm(image.entries)))
         for entries, changed in chain_calls:
             full = oct_close(OctDbm(entries))
             assert isinstance(full, OctDbm)
@@ -237,7 +271,7 @@ class TestDeepChain:
 
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_pair_block_equals_pair_loop(self, seed, integer, chain_calls):
+    def test_pair_block_equals_pair_loop(self, seed, integer, coherence_calls):
         # integer octagons tie 0.0 with -0.0, where min and max must keep
         # the scalar loop's choice of sign
         rng = np.random.default_rng(seed)
@@ -246,10 +280,11 @@ class TestDeepChain:
         base = oct_close(OctDbm(random_octagon(rng, n + r, drop=0.0, integer=integer)))
         # r of the variables, in shuffled order, stand for pre-activations
         h_vars = rng.permutation(n + r)[:r].tolist()
-        chain_calls.clear()
-        network._oct_relu_append(base, h_vars, 1e-9)
-        (got, changed), = chain_calls
+        out = network._oct_relu_append(base, h_vars, 1e-9).entries
+        (got,) = coherence_calls
         want = _pair_block_loop(base, h_vars)
-        assert changed == list(range(n + r, n + 2 * r))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        want = _coherence_min(want, n + 2 * r)
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
