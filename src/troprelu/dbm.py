@@ -32,7 +32,9 @@ taking its product.  That is exact: each term b[y, c] + e[c, x] of the
 dropped product is the term e[x̄, c̄] + b[c̄, ȳ] of the kept one with its
 operands swapped, float addition commutes, and the min runs over the same
 values.  The test for it is also exact and takes the three products on
-any mismatch.  ``dbm_close`` and ``oct_close`` close everything else.
+any mismatch.  ``dbm_close`` closes everything else; ``oct_close``, the
+strong closure of any octagon matrix, is the tests' reference, since the
+octagon chain builds its matrices strongly closed and runs no closure pass.
 
 A ``Box``, a ``Dbm`` and an ``OctDbm`` may carry leading axes, one box
 or matrix per grid cell: lo and hi of shape (C, n), entries of shape
@@ -198,24 +200,22 @@ def _fill_diagonal(m: np.ndarray, value) -> None:
     m[..., i, i] = value
 
 
-def _floyd_warshall(m: np.ndarray, pivots: Optional[Sequence[int]] = None) -> np.ndarray:
+def _floyd_warshall(m: np.ndarray) -> np.ndarray:
+    """Floyd-Warshall over every slot of each matrix of a stack, in place."""
     n = m.shape[-1]
     flat = m.reshape((math.prod(m.shape[:-2]), n, n))
     step = max(1, (1 << 17) // max(n * n, 1))  # cells per block: 1 MB, kept in cache
     for block in (flat[c : c + step] for c in range(0, len(flat), step)):
-        for k in range(n) if pivots is None else pivots:
+        for k in range(n):
             np.minimum(block, block[:, :, k, None] + block[:, None, k, :], out=block)
     return flat.reshape(m.shape)
 
 
-def _shortest_paths(
-    entries: np.ndarray, eps: float, pivots: Optional[Sequence[int]] = None, n_oct: int = 0
-):
-    """Floyd-Warshall over ``pivots`` (default all slots) on a copy of
-    ``entries`` with its diagonal clamped to <= 0 (and made coherent if
-    ``n_oct`` gives an octagon's variable count).  Returns the closed
-    matrix and whether a cycle weighs less than -eps (it is then empty);
-    on a stack, each matrix is closed alone and the flag is a mask.
+def _shortest_paths(entries: np.ndarray, eps: float):
+    """Floyd-Warshall on a copy of ``entries`` with its diagonal clamped to
+    <= 0.  Returns the closed matrix and whether a cycle weighs less than
+    -eps (it is then empty); on a stack, each matrix is closed alone and
+    the flag is a mask.
 
     On a flat set (a point box, a dead unit) rounding leaves zero-weight
     cycles a few ulps negative, and the pass doubles that at every pivot.
@@ -227,16 +227,22 @@ def _shortest_paths(
     def start(e: np.ndarray, slack=None) -> np.ndarray:
         m = e.copy() if slack is None else e + slack[..., None, None]
         _fill_diagonal(m, np.minimum(_diagonal(m), 0.0))
-        return _coherence_min(m, n_oct) if n_oct else m
+        return m
 
-    m = _floyd_warshall(start(entries), pivots)
+    m = _floyd_warshall(start(entries))
     redo = (_diagonal(m) < 0.0).any(axis=-1)
     if not redo.any():
         return m, redo
     e = entries[redo]
-    largest = np.where(np.isfinite(e), np.abs(e), 0.0).max(axis=(-2, -1), initial=0.0)
-    m[redo] = _floyd_warshall(start(e, e.shape[-1] * np.spacing(largest)), pivots)
+    m[redo] = _floyd_warshall(start(e, e.shape[-1] * _ulp_of_largest(e)))
     return m, redo & (_diagonal(m) < -eps).any(axis=-1)
+
+
+def _ulp_of_largest(*parts: np.ndarray) -> np.ndarray:
+    """Spacing of the largest finite |entry| of each matrix of a stack,
+    over all the given stacks (one ulp of 0 if none is finite)."""
+    finite = [np.where(np.isfinite(e), np.abs(e), 0.0) for e in parts]
+    return np.spacing(np.maximum.reduce([f.max(axis=(-2, -1), initial=0.0) for f in finite]))
 
 
 def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
@@ -398,30 +404,20 @@ def _coherence_min(m: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(m, m[..., perm[:, None], perm].swapaxes(-2, -1))
 
 
-def oct_close(
-    o: OctDbm, eps: float = DEFAULT_EPS, changed: Optional[Sequence[int]] = None
-) -> Union[OctDbm, _EmptyZone]:
-    """Strong closure of a coherent doubled DBM in one pass.
+def oct_close(o: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
+    """Strong closure of a doubled DBM in one pass (the tests' reference;
+    the analysis builds its octagons strongly closed and never calls it).
 
-    One Floyd-Warshall pass gives the shortest-path closure, and one
-    half-sum strengthening m[p,q] <- min(m[p,q], (m[p, p̄] + m[q̄, q]) / 2)
+    After one coherence step, one Floyd-Warshall pass gives the shortest-path
+    closure, and one half-sum strengthening m[p,q] <- min(m[p,q], (m[p, p̄] + m[q̄, q]) / 2)
     then makes it strongly closed: for real-valued octagons a closed matrix
     stays closed under that step (Bagnara, Hill & Zaffanella, MSCS 2009;
     Miné, HOSC 2006).  A cycle below -eps after either step means EMPTY;
     on a stack, each octagon is closed alone and EMPTY means one is empty.
-
-    ``changed`` (passed by tests only) lists the variables (0-based) whose
-    rows and columns may have changed, and the pass pivots only on their
-    slots.  That is the full closure whenever every other slot u is already
-    a satisfied pivot, m[p, q] <= m[p, u] + m[u, q] for all p, q.
     """
     check_eps(eps)
     n = o.dim
-    pivots = None
-    if changed is not None:
-        var = np.asarray(changed, dtype=int)
-        pivots = np.sort(np.concatenate([var, var + n]))
-    m, empty = _shortest_paths(o.entries, eps, pivots, n_oct=n)
+    m, empty = _shortest_paths(_coherence_min(o.entries, n), eps)
     m = None if empty.any() else _strengthen(m, n, eps)
     return EMPTY if m is None else OctDbm(m, closed=True)
 
@@ -509,23 +505,41 @@ def _interface_close(
     product's floats and the meet takes two dense products, not three.
 
     Returns None if a cycle through Y weighs less than -eps (in any pair of
-    a stack); a diagonal entry within eps of 0 is set to 0.
+    a stack); a diagonal entry within eps of 0 is set to 0.  eps is
+    absolute, and rounding alone can take more than eps off a cycle at
+    large magnitudes (one ulp of 1e7 is 1.9e-9).  So, by ``_shortest_paths``'
+    rule, a matrix whose Y diagonal falls below -eps is redone once on b
+    widened (soundly) by size ulps of the largest finite entry of either
+    operand; the others keep their bits, and a cycle still below -eps is
+    empty.
     """
+    p = a.shape[-1]
+    e = _meet(a, c, b)
+    low = (_diagonal(e[..., p:, p:]) < -eps).any(axis=-1)
+    if low.any():
+        wide = b[low] + (e.shape[-1] * _ulp_of_largest(a[low], b[low]))[..., None, None]
+        _fill_diagonal(wide, 0.0)
+        e[low] = _meet(a[low], c, wide)
+        if (_diagonal(e[..., p:, p:]) < -eps).any():
+            return None
+    _fill_diagonal(e[..., p:, p:], 0.0)
+    return e
+
+
+def _meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_interface_close`` before its diagonal check: each matrix of the
+    stack by ``_factored_meet`` if its a factors through slot 0, else by
+    ``_dense_meet``."""
     p, k = a.shape[-1], len(c)
     factors = _factors_through_slot0(a, c)
     if factors.all():
-        e = _factored_meet(a, c, b)
-    elif not factors.any():
-        e = _dense_meet(a, c, b)
-    else:
-        size = p + b.shape[-1] - k
-        e = np.empty(a.shape[:-2] + (size, size))
-        e[factors] = _factored_meet(a[factors], c, b[factors])
-        e[~factors] = _dense_meet(a[~factors], c, b[~factors])
-    yy = e[..., p:, p:]
-    if (_diagonal(yy) < -eps).any():
-        return None
-    _fill_diagonal(yy, 0.0)
+        return _factored_meet(a, c, b)
+    if not factors.any():
+        return _dense_meet(a, c, b)
+    size = p + b.shape[-1] - k
+    e = np.empty(a.shape[:-2] + (size, size))
+    e[factors] = _factored_meet(a[factors], c, b[factors])
+    e[~factors] = _dense_meet(a[~factors], c, b[~factors])
     return e
 
 

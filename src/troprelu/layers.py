@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbm import Box, Dbm, OctDbm, _fill_diagonal, oct_close
-from .errors import DimensionMismatch, EmptyAbstraction
+from .dbm import Box, Dbm, OctDbm, _fill_diagonal
+from .errors import DimensionMismatch
 from .maxplus import BOTTOM, DEFAULT_EPS
 from .tropical import TropExternal, TropInternal, extreme_filter
 
@@ -270,14 +270,10 @@ def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
     """Tight octagon as a coherent, strongly closed doubled DBM.
 
     Variable order (x_1..x_m, y_1..y_n); slot i is +v_i, slot m+n+i is
-    -v_i.  The entries are those of ``_oct_entries`` after one strong
-    closure, which in exact arithmetic leaves them unchanged and in floats
-    moves them by rounding only.
+    -v_i.  The entries are those of ``_oct_entries``, strongly closed as
+    built (see there), so no closure pass is run.
     """
-    out = oct_close(OctDbm(_oct_entries(k, layer)))
-    if isinstance(out, OctDbm):
-        return out
-    raise EmptyAbstraction("octagon abstraction of a nonempty box came out empty")
+    return OctDbm(_oct_entries(k, layer), closed=True)
 
 
 def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False) -> np.ndarray:
@@ -286,8 +282,8 @@ def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False
     them on a stacked input box.
 
     Every entry is the exact sup of the corresponding +-combination over
-    the graph, so a caller that meets it with another octagon and closes
-    the meet gets the same closure as with ``oct_dbm`` and saves a pass.
+    the graph, so the matrix is strongly closed as it stands: ``oct_dbm``
+    and the octagon chain's meet use it with no closure pass.
     """
     m = layer.n_inputs
     dim = m + layer.n_outputs

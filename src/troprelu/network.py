@@ -39,11 +39,13 @@ In the octagon domain (zone mode) the carried relation lives in the
 doubled space (+v, -v), which lets sum constraints tighten later layers
 through closure.  The meet is closed through +-current layer and then
 strengthened; ``_oct_relu_append`` writes the same exact entries there,
-for the kept variables and the clamped copies only, strongly closed with
-no closure pass.  The full (old, pre, post) octagon is never built: with
-``keep_layer_records`` each layer's record holds the exact zone ReLU
-image of the octagon's pre-activation plus block, built for the record
-only.  Every record also lists the step's slot counts under ``sizes``.
+for the kept variables and the clamped copies only.  That image and the
+input box's octagon (``_oct_from_box``) are strongly closed as built, so
+the chain runs no closure pass.  The full (old, pre, post) octagon is
+never built: with ``keep_layer_records`` each layer's record holds the
+exact zone ReLU image of the octagon's pre-activation plus block, built
+for the record only.  Every record also lists the step's slot counts
+under ``sizes``.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 points, clamped and projected onto the
@@ -89,7 +91,6 @@ from .dbm import (
     _strengthen,
     dbm_box,
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
-    oct_close,
 )
 from .errors import BadIndex, DimensionMismatch, EmptyAbstraction, InfiniteEntry, InvalidDomain, TropReluError
 from .maxplus import BOTTOM, DEFAULT_EPS, check_eps
@@ -602,16 +603,22 @@ def _step_sizes(octagon: bool, n_old: int, n_cur: int, n_new: int, n_kept: int, 
 
 
 def _oct_from_box(box: Box) -> OctDbm:
+    """The octagon of a box (or of each box of a stack), as built: its
+    entries hi_i - lo_j, hi_i + hi_j and -(lo_i + lo_j) are the exact sups
+    of x_i - x_j and +-(x_i + x_j) over a nonempty box, so it is closed,
+    and strongly closed, as it stands (Miné, HOSC 2006), as ``Box.to_dbm``
+    is.  Each entry rounds once, so a closure pass could only move
+    rounding; on boxes that mix magnitudes that rounding made the pass cut
+    true points or return EMPTY.  A zero sum is written +0.0, as in
+    ``layers._oct_entries``."""
     n = box.dim
     e = np.empty(box.lo.shape[:-1] + (2 * n, 2 * n))
     e[..., :n, :n] = box.hi[..., :, None] - box.lo[..., None, :]
     e[..., n:, n:] = e[..., :n, :n].swapaxes(-2, -1)
     e[..., :n, n:] = box.hi[..., :, None] + box.hi[..., None, :]
-    e[..., n:, :n] = -(box.lo[..., :, None] + box.lo[..., None, :])
+    e[..., n:, :n] = 0.0 - (box.lo[..., :, None] + box.lo[..., None, :])
     _fill_diagonal(e, 0.0)
-    out = oct_close(OctDbm(e))
-    assert isinstance(out, OctDbm)
-    return out
+    return OctDbm(e, closed=True)
 
 
 def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):

@@ -302,13 +302,7 @@ class TestStepSizes:
             seen.append(("meet", e.shape[0], len(c)))
             return e
 
-        def close(o, eps=EPS, changed=None):
-            if changed is not None:
-                seen.append(("relu", o.entries.shape[0], 2 * len(changed)))
-            return oct_close(o, eps=eps, changed=changed)
-
         monkeypatch.setattr(network, "_interface_close", interface)
-        monkeypatch.setattr(network, "oct_close", close)
         return seen
 
     @pytest.mark.parametrize("track_all", [False, True])

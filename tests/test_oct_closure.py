@@ -3,9 +3,10 @@
 ``_oct_close_64`` is the closure the octagon chain used before: rounds of
 Floyd-Warshall, half-sum strengthening and coherence until nothing changed,
 at most 64 of them.  The one-pass ``oct_close`` must give the same matrices
-within 1e-9 (1 + |v|), on seeded random coherent octagons and on every
-matrix a small deep octagon chain closes.  ``_pair_block_loop`` is the
-scalar pair loop ``network._oct_relu_append`` used before it became one
+within 1e-9 (1 + |v|), on seeded random coherent octagons, on matrices
+already closed over some of their slots, and on the matrices a small deep
+octagon chain builds strongly closed.  ``_pair_block_loop`` is the scalar
+pair loop ``network._oct_relu_append`` used before it became one
 block update; the two must agree exactly.
 """
 
@@ -151,15 +152,18 @@ class TestOnePass:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_changed_pivots_equal_full_closure(self, seed):
-        # a matrix whose unchanged slots are already satisfied pivots: the
-        # shortest-path closure over those slots of a random octagon
+        # a matrix whose unchanged slots are already satisfied pivots (the
+        # shortest-path closure over those slots of a random octagon)
+        # closes to the same octagon as the random one
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         m = random_octagon(rng, n)
         changed = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         kept = [v for v in range(n) if v not in changed]
-        partial = _floyd_warshall(m.copy(), [*kept, *[v + n for v in kept]])
-        got = oct_close(OctDbm(partial), changed=changed)
+        partial = m.copy()
+        for k in [*kept, *[v + n for v in kept]]:
+            np.minimum(partial, partial[:, k, None] + partial[None, k, :], out=partial)
+        got = oct_close(OctDbm(partial))
         assert isinstance(got, OctDbm)
         assert_close(got, oct_close(OctDbm(m)))
 
@@ -182,13 +186,13 @@ class TestOnePass:
     @pytest.mark.parametrize("seed", range(10))
     def test_infeasible_changed_variable_is_empty(self, seed):
         # a closed octagon whose variable 0 gets an upper bound below its
-        # lower bound; only that variable pivots
+        # lower bound
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         closed = oct_close(OctDbm(random_octagon(rng, n, drop=0.0))).entries
         lo0 = -closed[n, 0] / 2.0
         closed[0, n] = 2.0 * (lo0 - 1.0)
-        assert oct_close(OctDbm(closed), changed=[0]) is EMPTY
+        assert oct_close(OctDbm(closed)) is EMPTY
 
     def test_bounds_crossed_within_eps_are_widened(self):
         # x <= 0.3 and x >= 0.3 + 1e-15: a point whose bounds crossed by
@@ -205,19 +209,6 @@ def _deep_net(rng, sizes=(4, 8, 8, 8, 2)):
     weights = [rng.standard_normal((b, a)) / np.sqrt(a) for a, b in zip(sizes, sizes[1:])]
     biases = [0.3 * rng.standard_normal(b) for b in sizes[1:]]
     return Network(tuple(weights), tuple(biases), final_relu=False)
-
-
-@pytest.fixture
-def chain_calls(monkeypatch):
-    """Every (matrix, changed) pair the octagon chain closes."""
-    calls = []
-
-    def spy(o, eps=1e-9, changed=None):
-        calls.append((o.entries.copy(), None if changed is None else list(changed)))
-        return oct_close(o, eps=eps, changed=changed)
-
-    monkeypatch.setattr(network, "oct_close", spy)
-    return calls
 
 
 @pytest.fixture
@@ -249,10 +240,11 @@ def coherence_calls(monkeypatch):
 
 class TestDeepChain:
     @pytest.mark.parametrize("seed", range(4))
-    def test_chain_matrices(self, seed, chain_calls, relu_images):
+    def test_chain_matrices(self, seed, relu_images):
         rng = np.random.default_rng(seed)
         net = _deep_net(rng)
-        analyze(net, Box(-np.ones(4), np.ones(4)), AnalysisOptions(domain=AbsDomain.OCTAGON))
+        box = Box(-np.ones(4), np.ones(4))
+        analyze(net, box, AnalysisOptions(domain=AbsDomain.OCTAGON))
         assert len(relu_images) == net.n_layers - 1
         for image in relu_images:
             # the ReLU image is returned unclosed: it must be strongly closed already
@@ -261,13 +253,12 @@ class TestDeepChain:
             assert isinstance(full, OctDbm)
             assert_close(image, full)
             assert_close(full, _oct_close_64(OctDbm(image.entries)))
-        for entries, changed in chain_calls:
-            full = oct_close(OctDbm(entries))
-            assert isinstance(full, OctDbm)
-            assert_close(full, _oct_close_64(OctDbm(entries)))
-            assert_strongly_closed(full)
-            if changed is not None:
-                assert_close(oct_close(OctDbm(entries), changed=changed), full)
+        # the input box's octagon is returned as built: it must be strongly closed already
+        start = network._oct_from_box(box)
+        assert_strongly_closed(start)
+        full = oct_close(OctDbm(start.entries))
+        assert isinstance(full, OctDbm)
+        assert (np.abs(start.entries - full.entries) <= 1e-12 * (1.0 + np.abs(full.entries))).all()
 
     @pytest.mark.parametrize("integer", [False, True])
     @pytest.mark.parametrize("seed", range(8))
