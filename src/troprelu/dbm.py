@@ -32,7 +32,10 @@ taking its product.  That is exact: each term b[y, c] + e[c, x] of the
 dropped product is the term e[x̄, c̄] + b[c̄, ȳ] of the kept one with its
 operands swapped, float addition commutes, and the min runs over the same
 values.  The test for it is also exact and takes the three products on
-any mismatch.  ``dbm_close`` closes everything else; ``oct_close``, the
+any mismatch.  A closed zone met with a box (an assertion's input
+restriction) is closed by ``_box_meet_close``: every edge of a box
+factors through slot 0, so one column and one row product through slot 0
+close the meet.  ``dbm_close`` closes everything else; ``oct_close``, the
 strong closure of any octagon matrix, is the tests' reference, since the
 octagon chain builds its matrices strongly closed and runs no closure pass.
 
@@ -42,10 +45,10 @@ or matrix per grid cell: lo and hi of shape (C, n), entries of shape
 stacked form in either domain, every cell's arithmetic the same as
 alone.  ``Box.dim``, ``Box.width``, ``Box.to_dbm``, ``Dbm.dim``,
 ``Dbm.slice``, ``OctDbm.dim``, ``OctDbm.box``, ``dbm_box``,
-``embed_dbm``, ``oct_close``, ``_strengthen``, ``_interface_close`` and
-``_shortest_paths`` read stacks; every other method and function,
-``OctDbm.mirror`` and ``OctDbm.to_bounded_dbm`` among them, takes a
-single box or matrix.
+``embed_dbm``, ``oct_close``, ``_strengthen``, ``_interface_close``,
+``_box_meet_close`` and ``_shortest_paths`` read stacks; every other
+method and function, ``OctDbm.mirror`` and ``OctDbm.to_bounded_dbm``
+among them, takes a single box or matrix.
 
 Octagons add constraints on sums x_i + x_j.  They are encoded as a DBM
 over 2n doubled variables (+x_1..+x_n, -x_1..-x_n) with *no* constant
@@ -238,6 +241,72 @@ def _shortest_paths(entries: np.ndarray, eps: float):
     return m, redo & (_diagonal(m) < -eps).any(axis=-1)
 
 
+def _box_meet_close(z: np.ndarray, slots: Sequence[int], lo: np.ndarray, hi: np.ndarray, eps: float):
+    """Closure of the closed zone ``z`` met with the box [lo, hi] on its
+    1-based ``slots`` (or of each zone of a stack met with its own box, lo
+    and hi of shape (C, len(slots))), by one column and one row min-plus
+    product through slot 0.  Returns the closed meet, its diagonal 0, and
+    whether it is empty (a mask on a stack), as ``_shortest_paths`` does.
+
+    With r the box's matrix (``Box.to_dbm``, embedded at ``slots``; r[k, 0]
+    = hi_k, r[0, k] = -lo_k, r[0, 0] = 0, +inf on other slots) the meet is
+    min(z, r), and its closure is
+
+        col[i] = min_k z[i, k] + r[k, 0]        row[j] = min_k r[0, k] + z[k, j]
+        E = min(z, col ⊕ row),   (col ⊕ row)[i, j] = col[i] + row[j]
+
+    with k over slot 0 and ``slots``.  Every r-edge off slot 0 factors
+    through it bit for bit: r[i, j] = hi_i - lo_j = hi_i + (-lo_j) =
+    r[i, 0] + r[0, j].  So a path of the meet is a walk of z-edges and
+    r-edges into and out of slot 0.  A walk that never meets slot 0 is a
+    z-path, no shorter than z[i, j] since z is closed.  Otherwise cut it at
+    its first and last visits of slot 0: the loops between them weigh >= 0
+    unless the meet is empty, the head before the first visit is z-edges
+    (one z-edge, z being closed) and one r-edge into slot 0, the tail
+    likewise, so the walk weighs at least col[i] + row[j].  The k = 0 terms
+    (r[0, 0] = 0) give the head without an r-edge, z[i, 0], and the k = i
+    terms (z[i, i] = 0) a lone r-edge, so E <= min(z, r) and E is the
+    meet's shortest-path closure.  A negative cycle of the meet either runs
+    in z, which cannot be, or through slot 0; at any slot i on it the cycle
+    is a head and a tail, so E[i, i] < 0.
+
+    Each entry of E rounds three times, once per sum, and not at all on
+    integer entries, where E is Floyd-Warshall's result bit for bit.  With
+    L the largest finite |entry|, col and row are each within one ulp of L
+    of their paths and their sum within two more, so rounding takes at most
+    four ulps of L off a cycle.  By ``_shortest_paths``' rule a matrix whose
+    diagonal falls below 0 is redone once on z, hi and -lo widened (soundly)
+    by size ulps of L: both the head and the tail of every cycle then gain
+    at least that much, 2 * size >= 4 ulps, and a cycle still below -eps is
+    empty.  So rounding alone, at any magnitude, never makes a nonempty
+    meet look empty, and a check never skips it as vacuous.  The other
+    matrices of a stack keep their bits.
+    """
+    idx = np.asarray([0, *slots], dtype=int)
+    zero = np.zeros(np.shape(lo)[:-1] + (1,))
+    to0 = np.concatenate([zero, hi], axis=-1)  # r[k, 0] over k in idx
+    from0 = np.concatenate([zero, np.negative(lo)], axis=-1)  # r[0, k]
+
+    def close(z, to0, from0):
+        col = (z[..., :, idx] + to0[..., None, :]).min(axis=-1)
+        row = (from0[..., :, None] + z[..., idx, :]).min(axis=-2)
+        return np.minimum(z, col[..., :, None] + row[..., None, :])
+
+    m = close(z, to0, from0)
+    redo = (_diagonal(m) < 0.0).any(axis=-1)
+    if redo.any():
+        e, t, f = z[redo], to0[redo], from0[redo]
+        slack = e.shape[-1] * _ulp_of_largest(e, t[..., None], f[..., None])
+        e = e + slack[..., None, None]
+        _fill_diagonal(e, 0.0)
+        t, f = t + slack[..., None], f + slack[..., None]
+        t[..., 0] = f[..., 0] = 0.0
+        m[redo] = close(e, t, f)
+        redo &= (_diagonal(m) < -eps).any(axis=-1)
+    _fill_diagonal(m, 0.0)
+    return m, redo
+
+
 def _ulp_of_largest(*parts: np.ndarray) -> np.ndarray:
     """Spacing of the largest finite |entry| of each matrix of a stack,
     over all the given stacks (one ulp of 0 if none is finite)."""
@@ -418,28 +487,30 @@ def oct_close(o: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
     check_eps(eps)
     n = o.dim
     m, empty = _shortest_paths(_coherence_min(o.entries, n), eps)
-    m = None if empty.any() else _strengthen(m, n, eps)
-    return EMPTY if m is None else OctDbm(m, closed=True)
+    if empty.any():
+        return EMPTY
+    m, empty = _strengthen(m, n, eps)
+    return EMPTY if empty.any() else OctDbm(m, closed=True)
 
 
-def _strengthen(m: np.ndarray, n: int, eps: float) -> Optional[np.ndarray]:
+def _strengthen(m: np.ndarray, n: int, eps: float):
     """The tail of ``oct_close``: half-sum strengthening and coherence of a
     shortest-path closed doubled matrix over n variables (or of each matrix
-    of a stack), in place where it can; None if a diagonal entry then falls
-    below -eps."""
+    of a stack), in place where it can.  Returns the matrix and whether a
+    diagonal entry fell below -eps (a mask on a stack); such a matrix is
+    empty, or rounding made it look so, and its entries mean nothing."""
     perm = _mirror(n)
     unary = m[..., np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
     np.minimum(m, (unary[..., :, None] + unary[..., None, perm]) / 2.0, out=m)
     m = _coherence_min(m, n)
-    if (_diagonal(m) < -eps).any():
-        return None
+    low = (_diagonal(m) < -eps).any(axis=-1)
     # bounds of a flat direction (a point box, a dead unit) can cross by
     # rounding, m[p, q] + m[q, p] < 0 within eps; the next pass would
     # double that negative cycle at every pivot, so widen such a pair to
     # the interval between its two bounds, as ``_bounds_box`` does
     np.maximum(m, -m.swapaxes(-2, -1), out=m)
     _fill_diagonal(m, 0.0)
-    return m
+    return m, low
 
 
 def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -89,6 +89,7 @@ from .dbm import (
     _fill_diagonal,
     _interface_close,
     _strengthen,
+    _ulp_of_largest,
     dbm_box,
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
 )
@@ -628,6 +629,14 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     (+-current layer) and strengthened, then the ReLU image on the ``kept``
     variables.
 
+    eps is absolute, and at large magnitudes the strengthening's half-sums
+    alone can round a diagonal entry of a nonempty meet below -eps.  So, by
+    ``dbm._interface_close``'s rule, each matrix of a stack whose
+    strengthened meet fails is redone once on the layer octagon widened
+    (soundly) by size ulps of the largest finite entry of either operand;
+    the others keep their bits, and EmptyAbstraction is raised only if a
+    redone meet still fails.
+
     Returns the next octagon over (kept, post or pre), its plus-block zone
     and the plus-block zone of the (old, pre) space before ReLU.
     """
@@ -637,14 +646,22 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     cur = np.asarray(cur, dtype=int)
     # the raw octagon's entries are exact sups, so it is closed as it
     # stands; its slots come in the interface order (+-cur, +-h)
+    a = oct_zone.entries
     b = _oct_entries(k_oct, layer, interface=True)
-    e = _interface_close(oct_zone.entries, np.concatenate([cur, cur + n_old]), b, eps)
-    if e is not None:
-        # (+old, -old, +h, -h) back to the doubled order (+old, +h, -old, -h)
-        old_minus = np.arange(n_old, 2 * n_old)
-        h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
-        back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
-        e = _strengthen(e[..., back[:, None], back], n_pre, eps)
+    c = np.concatenate([cur, cur + n_old])
+    # (+old, -old, +h, -h) back to the doubled order (+old, +h, -old, -h)
+    old_minus = np.arange(n_old, 2 * n_old)
+    h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
+    back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
+    e, low = _oct_meet(a, c, b, back, n_pre, eps)
+    if e is not None and low.any():
+        wide = b[low] + (2 * n_pre * _ulp_of_largest(a[low], b[low]))[..., None, None]
+        _fill_diagonal(wide, 0.0)
+        redo, still = _oct_meet(a[low], c, wide, back, n_pre, eps)
+        if redo is None or still.any():
+            e = None
+        else:
+            e[low] = redo
     if e is None:
         raise EmptyAbstraction("octagon chain produced an empty octagon")
     closed = OctDbm(e, closed=True)
@@ -656,6 +673,18 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
         idx = np.asarray(kept + pre + [i + n_pre for i in kept + pre], dtype=int)
         nxt_oct = OctDbm(closed.entries[..., idx[:, None], idx], closed=True)
     return nxt_oct, _plus_block_dbm(nxt_oct, list(range(nxt_oct.dim))), pre_zone
+
+
+def _oct_meet(a, c, b, back, n, eps):
+    """The carried octagon ``a`` (or a stack) met with the layer's ``b``
+    through the interface slots ``c`` (``dbm._interface_close``), put in
+    the doubled order ``back`` over n variables and strengthened: the
+    matrix and the mask of ``dbm._strengthen``, or (None, None) when the
+    meet is empty."""
+    e = _interface_close(a, c, b, eps)
+    if e is None:
+        return None, None
+    return _strengthen(e[..., back[:, None], back], n, eps)
 
 
 def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:

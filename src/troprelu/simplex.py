@@ -19,6 +19,11 @@ minimum -inf, exactly.  The value is -sum f * m of the final flow, which
 ships the supplies whatever the paths: the bound rests on weak duality, not
 on optimality.  When the sum of the coefficients or the final cost leaves
 the float range, the value is -inf, which is still a lower bound.
+
+The set-up of every problem of a stack (``minimize_over_dbms``), its sink
+potentials and each sink's sources ranked by cost, comes out of one numpy
+pass (``_setups``), so the Python loop per problem starts at the free
+phase; it counts the sources and sinks with supply or demand left.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
 
     The supplies, sources and sinks depend on the objective alone, so they
     are set up once; the cost rows of every matrix come out of one gather
-    and one ``tolist``, and only the forced sum or ``_transport`` runs per
-    matrix.  A zero coefficient is neither a source nor a sink, so a
-    stack of whole zones gives the minima of their sub-DBMs on the
-    objective's support.
+    and one ``tolist``, the columns, sink potentials and source ranks of
+    every transportation problem out of one numpy pass (``_setups``), and
+    only the forced sum or ``_transport`` runs per matrix.  A zero
+    coefficient is neither a source nor a sink, so a stack of whole zones
+    gives the minima of their sub-DBMs on the objective's support.
     """
     a = [float(v) for v in objective]
     try:
@@ -58,25 +64,38 @@ def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
     snk = [v for v, b in enumerate(supply) if b < 0]
     if not src:
         return [0.0] * len(entries)
-    costs = entries[:, np.asarray(src)[:, None], snk].tolist()
+    block = entries[:, np.asarray(src)[:, None], snk]
+    costs = block.tolist()
     if len(src) == 1 or len(snk) == 1:
         # forced: a lone source meets every demand, a lone sink takes every supply
         flows = [min(supply[s], -supply[t]) for s in src for t in snk]
         return [_neg_sum([f * c for f, c in zip(flows, chain.from_iterable(rows))]) for rows in costs]
     sup = [supply[s] for s in src]
     dem = [-supply[t] for t in snk]
-    return [_transport(rows, sup.copy(), dem.copy()) for rows in costs]
+    return [_transport(rows, sup.copy(), dem.copy(), setup) for rows, setup in zip(costs, _setups(block))]
 
 
-def _transport(cost: list, sup: list, dem: list) -> float:
+def _setups(block: np.ndarray):
+    """The set-up of ``_transport`` for each cost matrix of the stack
+    ``block`` (C, sources, sinks): its columns, one list per sink; the sink
+    potentials, the column minima; and each sink's sources ranked dearest
+    first, cheapest last.  A stable argsort of the negated costs keeps tied
+    sources in index order, as ``sorted(..., reverse=True)`` does, and
+    treats -0.0 as 0.0, as it does."""
+    cols = block.swapaxes(-2, -1)
+    return zip(cols.tolist(), cols.min(axis=-1).tolist(), np.argsort(-cols, axis=-1, kind="stable").tolist())
+
+
+def _transport(cost: list, sup: list, dem: list, setup=None) -> float:
     """-(cost of the final flow), or -inf when some demand cannot be reached.
+    ``setup`` is the problem's entry of ``_setups``, made here if not given.
     Every augmentation empties a source, a sink or a flow arc."""
-    n_s = len(sup)
-    cols = list(zip(*cost))
-    pot = [min(col) for col in cols]  # sink potentials
+    cols, pot, order = setup or next(_setups(np.asarray(cost, dtype=float)[None]))
     if INF in pot:
         return -INF  # no finite arc enters that sink
-    order = [sorted(range(n_s), key=col.__getitem__, reverse=True) for col in cols]
+    n_s = len(sup)
+    n_sup = sum(s > 0 for s in sup)  # sources with supply left
+    n_dem = sum(d > 0 for d in dem)  # sinks with demand left
     src_pot = [0.0] * n_s
     into = [{} for _ in cols]  # into[t][i]: the flow from source i to sink t
     while True:
@@ -91,9 +110,12 @@ def _transport(cost: list, sup: list, dem: list) -> float:
                 sup[i] -= delta
                 dem[t] -= delta
                 got[i] = got.get(i, 0.0) + delta
-                if not sup[i] > 0 and not max(sup) > 0:
-                    return _flow_value(cost, into)
-        if not max(dem) > 0:
+                n_dem -= not dem[t] > 0
+                if not sup[i] > 0:
+                    n_sup -= 1
+                    if not n_sup:
+                        return _flow_value(cost, into)
+        if not n_dem:
             return _flow_value(cost, into)
         for rank in order:
             while not sup[rank[-1]] > 0:
@@ -118,13 +140,15 @@ def _transport(cost: list, sup: list, dem: list) -> float:
             delta = min(caps + [dem[end]])
             sup[i] -= delta
             dem[end] -= delta
+            n_sup -= not sup[i] > 0
+            n_dem -= not dem[end] > 0
             for k, j in fwd:
                 into[j][k] = into[j].get(k, 0.0) + delta
             for k, j in back:
                 into[j][k] -= delta
                 if not into[j][k] > 0:
                     del into[j][k]
-            if not (max(sup) > 0 and max(dem) > 0):
+            if not (n_sup and n_dem):
                 return _flow_value(cost, into)
             if not delta < min(caps):
                 break

@@ -13,8 +13,11 @@ Under an input subdivision the check runs per grid cell of one cell-wise
 analysis (``AnalysisResult.cells``): the assertion is verified iff every
 cell whose box meets the assertion's input restriction passes.  The
 restriction is met into all those cell zones at once, and one stacked
-Floyd-Warshall pass closes them; the LPs of all cells share one set-up
-and only the transportation solver runs cell by cell.
+pass closes them through slot 0 (``dbm._box_meet_close``: a box's edges
+all factor through the constant slot, so a closed zone met with it needs
+one column and one row product, not a Floyd-Warshall pass); the LPs of
+all cells share one set-up and only the transportation solver runs cell
+by cell.
 Refining the grid only shrinks per-cell zones, so a Verified verdict
 never flips back to Unknown.
 """
@@ -27,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dbm import Box, Dbm, EMPTY, _shortest_paths, dbm_close, embed_dbm
+from .dbm import Box, Dbm, EMPTY, _box_meet_close, dbm_close, embed_dbm
 from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS, check_eps
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
@@ -108,25 +111,32 @@ def min_over_zone(
 
     ``box_restriction`` tightens the listed slots (default: the leading
     ones) before minimising; the intersection is closed first, so the
-    restriction propagates into every difference bound (a zone not marked
-    closed is closed too).  Returns -inf when the program is unbounded;
-    raises EmptyFeasibleSet when the restriction empties the zone.
+    restriction propagates into every difference bound.  A closed zone's
+    meet is closed through slot 0 (``_box_meet_close``), as a grid cell's
+    is in ``check``, so both give the same bits; a zone not marked closed
+    is met and closed by Floyd-Warshall (``dbm_close``).  Returns -inf when
+    the program is unbounded; raises EmptyFeasibleSet when the restriction
+    empties the zone.
     """
     check_eps(eps)
     objective = np.asarray(objective, dtype=float)
     _check_objective(objective, zone.dim)
-    work = zone
+    m, empty = zone.entries, False
     if box_restriction is not None:
         slots = list(range(1, box_restriction.dim + 1)) if restrict_slots is None else restrict_slots
-        restr = embed_dbm(box_restriction.to_dbm(), slots, zone.dim)
-        work = Dbm(np.minimum(zone.entries, restr.entries))
-    if not work.closed:
-        work = dbm_close(work, eps=eps)
-        if work is EMPTY:
-            raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
+        if zone.closed:
+            m, empty = _box_meet_close(m, slots, box_restriction.lo, box_restriction.hi, eps)
+        else:
+            m = np.minimum(m, embed_dbm(box_restriction.to_dbm(), slots, zone.dim).entries)
+    if not zone.closed:
+        work = dbm_close(Dbm(m), eps=eps)
+        empty = work is EMPTY
+        m = None if empty else work.entries
+    if empty:
+        raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
     if not objective.any():
         return float(constant)
-    val = minimize_over_dbm(objective, work.entries)
+    val = minimize_over_dbm(objective, m)
     return val + constant if np.isfinite(val) else val
 
 
@@ -193,10 +203,12 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     restriction, on the cell met with the restriction, in cell order; cells
     that the restriction empties are skipped.
 
-    The meets are closed in one stacked pass, with the same arithmetic per
-    cell as alone; without a restriction too, since the closure of a cell
-    zone met with its own box can still move entries by rounding.  The LPs
-    of all live cells then share one set-up (``minimize_over_dbms``).
+    The meets are closed through slot 0 in one stacked pass
+    (``_box_meet_close``), with the same arithmetic per cell as alone and
+    as ``min_over_zone`` on that cell and meet; without a restriction too,
+    since closing a cell zone met with its own box can still move entries
+    by rounding.  The LPs of all live cells then share one set-up
+    (``minimize_over_dbms``).
     """
     lo, hi, zones = result._cell_stack
     if a.restrict is not None:
@@ -210,9 +222,7 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     if not len(zones):
         return []
     _check_objective(obj, zones.shape[-1] - 1)
-    slots = [s + 1 for s in result.input_slots]
-    restr = embed_dbm(Box(lo, hi).to_dbm(), slots, zones.shape[-1] - 1)
-    m, empty = _shortest_paths(np.minimum(zones, restr.entries), eps)
+    m, empty = _box_meet_close(zones, [s + 1 for s in result.input_slots], lo, hi, eps)
     if empty.any():
         m = m[~empty]
     if not obj.any():

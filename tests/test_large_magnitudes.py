@@ -9,8 +9,9 @@ pass, and only a cycle still below -eps is empty.  The sweep analyses 200
 seeded one-layer nets (1-3 inputs, 3 ReLUs) on a point box at each scale
 in zone, box and external mode: every run returns, and its output box
 contains the numpy forward pass of the point within 1e-9 (1 + |y|).  In
-the octagon domain a few of these nets still fail, in ``_strengthen``
-after the meet; the strict xfail below keeps that open failure in sight.
+the octagon domain ``network._oct_step`` redoes, by the same rule, a meet
+whose ``_strengthen`` leaves a diagonal below -eps, and the sweep at 1e9
+returns too.
 
 ``network._oct_from_box`` returns the input box's octagon as built, with
 no closure pass: its entries are exact sums and differences of the bounds.
@@ -25,7 +26,6 @@ import pytest
 
 from troprelu import network
 from troprelu.dbm import Box, OctDbm, oct_close
-from troprelu.errors import EmptyAbstraction
 from troprelu.network import AbsDomain, AnalysisOptions, ChainMode, Network, analyze
 
 from test_oct_closure import assert_strongly_closed
@@ -70,9 +70,6 @@ class TestPointBoxSweep:
         x = np.array([12345678.9])
         assert_contains_forward_pass(analyze(net, Box(x, x), opts), net, x)
 
-    @pytest.mark.xfail(
-        raises=EmptyAbstraction, strict=True, reason="octagon meet strengthening at large magnitudes"
-    )
     def test_octagon_domain(self):
         for net, x in point_nets(1e9):
             analyze(net, Box(x, x), AnalysisOptions(domain=AbsDomain.OCTAGON))
