@@ -48,7 +48,7 @@ class BadIndex(TropReluError):
 
 
 class InvalidDomain(TropReluError):
-    """A subdivision grid is malformed or does not fit its layer or box."""
+    """An analysis option or a grid is malformed, or a grid does not fit its layer or box."""
 
 
 class CellBudgetExceeded(TropReluError):

@@ -105,6 +105,10 @@ class ZoneAbsConstants:
         output i2's coordinate at the vertex where output i1 peaks."""
         return self.out_hi[:, None] - self.diff
 
+    @property
+    def zone(self) -> "ZoneAbsConstants":
+        return self  # as an octagon's constants give their zone part
+
 
 @dataclass(frozen=True)
 class OctAbsConstants:

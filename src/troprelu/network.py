@@ -6,8 +6,8 @@ activation is optional).  Each affine layer is abstracted by its tight zone
 image of a closed zone (a tropical polyhedron) is exact.
 
 One loop serves every mode and domain.  It carries a closed zone over the
-tracked variables: the inputs, the current layer, and with ``track_all``
-every hidden layer.  Per layer it
+inputs, the current layer, and with ``track_all`` every hidden layer.  Per
+layer its domain's step (``_zone_step`` or ``_oct_step``)
 
 1. meets the carried zone with the layer's tight zone over (current
    layer, h), h the layer's pre-activations;
@@ -20,8 +20,8 @@ every hidden layer.  Per layer it
    operands are coherent, so the meet's rows of h are the mirror of its
    columns of h, the same floats, and it takes two dense products, not
    three;
-3. appends y = max(0, h) (``_relu_append``), each entry of the image's
-   tightest zone a max or min of closed entries, and keeps the tracked slots.
+3. writes the image of y = max(0, h) on the tracked slots and y only
+   (``_relu_append``), each entry a max or min of closed entries.
 
 The modes differ only in what the loop carries between layers:
 
@@ -35,17 +35,15 @@ The modes differ only in what the loop carries between layers:
             diagnostics (inequality systems cannot be projected, so it
             keeps every stage).
 
-In the octagon domain (zone mode) the carried relation lives in the
-doubled space (+v, -v), which lets sum constraints tighten later layers
-through closure.  The meet is closed through +-current layer and then
-strengthened; ``_oct_relu_append`` writes the same exact entries there,
-for the kept variables and the clamped copies only.  That image and the
-input box's octagon (``_oct_from_box``) are strongly closed as built, so
-the chain runs no closure pass.  The full (old, pre, post) octagon is
-never built: with ``keep_layer_records`` each layer's record holds the
-exact zone ReLU image of the octagon's pre-activation plus block, built
-for the record only.  Every record also lists the step's slot counts
-under ``sizes``.
+The octagon domain runs in zone mode only; box and external mode run the
+zone chain (``_domain``).  Its carried relation lives in the doubled
+space (+v, -v), which lets sum constraints tighten later layers through
+closure.  The meet is closed through +-current layer and strengthened;
+``_oct_relu_append`` writes the same exact entries there.  That image and
+the input box's octagon (``_oct_from_box``) are strongly closed as built,
+so the chain runs no closure pass.  With ``keep_layer_records`` each
+layer's record holds the step's slot counts (``sizes``) and the zone
+ReLU image of its whole pre-activation zone, built for the record only.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 points, clamped and projected onto the
@@ -139,8 +137,8 @@ class Network:
         if len(ws) != len(bs) or not ws:
             raise DimensionMismatch("need matching, nonempty weight/bias lists")
         for w, b in zip(ws, bs):
-            if w.shape[0] != b.shape[0]:
-                raise DimensionMismatch("weight rows must match bias length")
+            if w.ndim != 2 or w.shape[0] != b.shape[0]:
+                raise DimensionMismatch(f"weights of shape {w.shape} are not a matrix with {b.shape[0]} rows")
         for prev, nxt in zip(ws, ws[1:]):
             if nxt.shape[1] != prev.shape[0]:
                 raise DimensionMismatch("consecutive layer sizes are incompatible")
@@ -237,9 +235,10 @@ def relu_external(
     return TropExternal(np.vstack(rows_l), np.vstack(rows_r))
 
 
-def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
+def _relu_append(zone: Dbm, h_vars: list, n_keep: Optional[int] = None) -> Dbm:
     """Append y_i = max(0, h_i) to a closed zone M (slot 0 the constant),
-    or to each zone of a stack.
+    or to each zone of a stack, keeping the first ``n_keep`` variables
+    (default all): the whole image's entries on those and the copies.
 
     Every new entry is a sup over the zone.  A max's sup is the max of the
     sups: M[y, v] = max(M[0, v], M[h, v]).  Either half of the zone split at
@@ -248,12 +247,12 @@ def _relu_append(zone: Dbm, h_vars: list) -> Dbm:
     for v = 0 and v = h_i.  A matrix of sups is closed as it stands.
     """
     m = zone.entries
-    n1 = m.shape[-1]
+    n1 = m.shape[-1] if n_keep is None else 1 + n_keep
     hs = np.asarray(h_vars, dtype=int) + 1
     e = np.empty(m.shape[:-2] + (n1 + len(hs), n1 + len(hs)))
-    e[..., :n1, :n1] = m
-    np.maximum(m[..., :1, :], m[..., hs, :], out=e[..., n1:, :n1])
-    np.minimum(m[..., :, :1], m[..., :, hs], out=e[..., :n1, n1:])
+    e[..., :n1, :n1] = m[..., :n1, :n1]
+    np.maximum(m[..., :1, :n1], m[..., hs, :n1], out=e[..., n1:, :n1])
+    np.minimum(m[..., :n1, :1], m[..., :n1, hs], out=e[..., :n1, n1:])
     yy = e[..., n1:, n1:]
     np.minimum(m[..., hs, 0][..., :, None], m[..., hs[:, None], hs], out=yy)
     np.maximum(np.minimum(0.0, m[..., 0, hs])[..., None, :], yy, out=yy)
@@ -338,6 +337,10 @@ class AnalysisOptions:
 
     def __post_init__(self):
         check_eps(self.eps)
+        kinds = {"mode": ChainMode, "domain": AbsDomain, "subdiv": (SubdivisionGrid, type(None))}
+        for name, kind in kinds.items():
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidDomain(f"AnalysisOptions.{name} is {getattr(self, name)!r}")
 
 
 @dataclass
@@ -444,8 +447,8 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
     cell_opts = replace(options, subdiv=None, keep_layer_records=False)
     t0 = time.perf_counter()
     lo, hi = grid.cell_bounds()
-    octagon = options.mode is ChainMode.ZONE and options.domain is AbsDomain.OCTAGON
-    step = max(1, _CELL_FLOATS // _cell_floats(net, options.track_all, octagon))
+    domain = _domain(options)
+    step = max(1, _CELL_FLOATS // _cell_floats(net, options.track_all, domain is AbsDomain.OCTAGON))
     parts = [
         _analyze_chunk(net, lo[i : i + step], hi[i : i + step], cell_opts)
         for i in range(0, len(lo), step)
@@ -464,7 +467,7 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
         n_outputs=net.n_outputs,
         diagnostics={
             "mode": options.mode.value,
-            "domain": options.domain.value,
+            "domain": domain.value,
             "cells": len(zones),
             "seconds": time.perf_counter() - t0,
         },
@@ -499,13 +502,12 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     """
     eps = options.eps
     t0 = time.perf_counter()
+    domain = _domain(options)
+    octagon = domain is AbsDomain.OCTAGON
     var_map = [(0, j) for j in range(net.n_inputs)]
-    zone = in_box.to_dbm()
-    full = in_box  # bounds of every carried slot, read off the carried matrix
-    oct_zone = None
-    if options.mode is ChainMode.ZONE and options.domain is AbsDomain.OCTAGON:
-        oct_zone = _oct_from_box(in_box)
-        full = oct_zone.box()
+    carried = _oct_from_box(in_box) if octagon else in_box.to_dbm()
+    full = carried.box() if octagon else in_box  # bounds of every carried slot
+    constants, step = (oct_constants, _oct_step) if octagon else (zone_constants, _zone_step)
     stage_boxes = [in_box]
     layers = []
     records = []
@@ -515,68 +517,66 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         n_old = len(var_map)
         cur = [i for i, (s, _) in enumerate(var_map) if s == li]
         if options.mode is not ChainMode.ZONE:
-            zone = full.to_dbm()
+            carried = full.to_dbm()
         cur_box = Box(full.lo[..., cur], full.hi[..., cur])
         layer = AffineLayer(net.weights[li], net.biases[li], cur_box)
-        k_oct = oct_constants(layer) if oct_zone is not None else None
-        k = zone_constants(layer) if k_oct is None else k_oct.zone
-        layers.append((layer, k))
+        k = constants(layer)  # the zone's, or the octagon's holding them as .zone
+        layers.append((layer, k.zone))
         n_new = layer.n_outputs
         pre = list(range(n_old, n_old + n_new))
-        # tracked slots of the (old, pre[, post]) space: inputs, every hidden
-        # stage with track_all, and the new stage's values
+        # tracked old slots, a prefix: the inputs, and every hidden stage with track_all
         kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
-        sel = kept + ([i + n_new for i in pre] if act else pre)
-        if oct_zone is not None:
-            oct_zone, zone, pre_zone = _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps)
-            big = None
-        else:
-            pre_zone = _layer_zone(zone, cur, layer, k, eps)
-            big = _relu_append(pre_zone, pre) if act else pre_zone
-            zone = big.slice([i + 1 for i in sel])
+        carried, zone, pre_zone = step(carried, cur, layer, k, act, kept, eps)
         full = dbm_box(zone)
         stage_box = Box(full.lo[..., len(kept) :], full.hi[..., len(kept) :])
         stage_boxes.append(stage_box)
         if options.keep_layer_records:
-            keys = list(var_map) + [("pre", j) for j in range(n_new)]
-            if act:
-                keys += [("post", j) for j in range(n_new)]
-            if big is None:  # octagon domain: the zone ReLU image of its plus block
-                big = _relu_append(pre_zone, pre) if act else pre_zone
+            keys = var_map + [("pre", j) for j in range(n_new)] + [("post", j) for j in range(n_new) if act]
             records.append(
                 {
                     "stage": li + 1,
                     "input_box": cur_box,
-                    "preact_box": Box(k.out_lo, k.out_hi),
+                    "preact_box": Box(k.zone.out_lo, k.zone.out_hi),
                     "box": stage_box,
-                    "preact_zone": {"dbm": big, "keys": keys},
-                    "sizes": _step_sizes(
-                        oct_zone is not None, n_old, len(cur), n_new, len(kept), act
-                    ),
+                    "preact_zone": {"dbm": _relu_append(pre_zone, pre) if act else pre_zone, "keys": keys},
+                    "sizes": _step_sizes(domain, n_old, len(cur), n_new, len(kept), act),
                 }
             )
-        del big  # the largest matrix of the step; free before the next one
         var_map = [var_map[i] for i in kept] + [(li + 1, j) for j in range(n_new)]
 
     m = pre_zone.entries  # kept as its hull points; None (``internal`` raises) if unbounded
     hull = _zone_points(m, np.add(kept + pre, 1), n_new if act else 0) if np.isfinite(m).all() else None
-    diag = {
-        "mode": options.mode.value,
-        "domain": options.domain.value,
-        "cells": 1,
-        "seconds": time.perf_counter() - t0,
-        "layers": records,
-    }
     return AnalysisResult(
         var_map=var_map,
         zone=zone,
         bounds=stage_boxes,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
-        diagnostics=diag,
+        diagnostics={
+            "mode": options.mode.value,
+            "domain": domain.value,
+            "cells": 1,
+            "seconds": time.perf_counter() - t0,
+            "layers": records,
+        },
         _hull=hull,
         _eps=eps,
     ), layers
+
+
+def _domain(options: AnalysisOptions) -> AbsDomain:
+    """The domain that runs: box and external mode reset the carried
+    relation to a box before each layer, so they run the zone chain."""
+    return options.domain if options.mode is ChainMode.ZONE else AbsDomain.ZONE
+
+
+def _zone_step(zone, cur, layer, k, act, kept, eps):
+    """``_oct_step`` for the zone chain, whose carried matrix is its zone: the
+    meet (``_layer_zone``), then the ReLU image on the ``kept`` prefix and y."""
+    pre_zone = _layer_zone(zone, cur, layer, k, eps)
+    pre = list(range(zone.dim, zone.dim + layer.n_outputs))
+    nxt = _relu_append(pre_zone, pre, len(kept)) if act else pre_zone.slice([i + 1 for i in kept + pre])
+    return nxt, nxt, pre_zone
 
 
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
@@ -590,17 +590,14 @@ def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, e
     return Dbm(e, closed=True)
 
 
-def _step_sizes(octagon: bool, n_old: int, n_cur: int, n_new: int, n_kept: int, act: bool) -> dict:
+def _step_sizes(domain: AbsDomain, n_old: int, n_cur: int, n_new: int, n_kept: int, act: bool) -> dict:
     """Slot counts of one layer step: the closed meet and its interface
     (with slot 0 in a zone, doubled in an octagon), and in the octagon
     domain the ReLU image's slots (0 without a ReLU)."""
-    if not octagon:
+    if domain is AbsDomain.ZONE:
         return {"meet_slots": 1 + n_old + n_new, "interface_slots": 1 + n_cur}
-    return {
-        "meet_slots": 2 * (n_old + n_new),
-        "interface_slots": 2 * n_cur,
-        "relu_slots": 2 * (n_kept + n_new) if act else 0,
-    }
+    relu = 2 * (n_kept + n_new) if act else 0
+    return {"meet_slots": 2 * (n_old + n_new), "interface_slots": 2 * n_cur, "relu_slots": relu}
 
 
 def _oct_from_box(box: Box) -> OctDbm:

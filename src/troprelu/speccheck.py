@@ -24,6 +24,7 @@ never flips back to Unknown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -76,16 +77,17 @@ class LinearAssertion:
         """The restricted input domain, or EMPTY-free None when vacuous."""
         if self.restrict is None:
             return in_box
-        lo = in_box.lo.copy()
-        hi = in_box.hi.copy()
-        for j, iv in enumerate(self.restrict):
-            if iv is None:
-                continue
-            lo[j] = max(lo[j], iv[0])
-            hi[j] = min(hi[j], iv[1])
-        if (lo > hi).any():
-            return None
-        return Box(lo, hi)
+        lo, hi = _clip(in_box.lo, in_box.hi, self.restrict)
+        return None if (lo > hi).any() else Box(lo, hi)
+
+
+def _clip(lo: np.ndarray, hi: np.ndarray, restrict: tuple):
+    """Corners lo, hi (..., m) met with a restriction: a bound of the
+    restriction replaces a corner only where it is strictly tighter (an
+    input without one is restricted to [-inf, inf])."""
+    rows = [(-np.inf, np.inf) if iv is None else iv for iv in restrict]
+    r = np.array(rows, dtype=float).reshape(lo.shape[-1], 2)  # one row per input
+    return np.where(r[:, 0] > lo, r[:, 0], lo), np.where(r[:, 1] < hi, r[:, 1], hi)
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,11 @@ def min_over_zone(
     is in ``check``, so both give the same bits; a zone not marked closed
     is met and closed by Floyd-Warshall (``dbm_close``).  Returns -inf when
     the program is unbounded; raises EmptyFeasibleSet when the restriction
-    empties the zone.
+    empties the zone, InvalidObjective on a non-finite coefficient or constant.
     """
     check_eps(eps)
     objective = np.asarray(objective, dtype=float)
-    _check_objective(objective, zone.dim)
+    _check_objective(objective, zone.dim, constant)
     m, empty = zone.entries, False
     if box_restriction is not None:
         slots = list(range(1, box_restriction.dim + 1)) if restrict_slots is None else restrict_slots
@@ -140,11 +142,11 @@ def min_over_zone(
     return val + constant if np.isfinite(val) else val
 
 
-def _check_objective(objective: np.ndarray, dim: int) -> None:
+def _check_objective(objective: np.ndarray, dim: int, constant: float = 0.0) -> None:
     if objective.shape != (dim,):
         raise VariableMismatch("objective length does not match zone dimension")
-    if not np.isfinite(objective).all():
-        raise InvalidObjective("objective coefficients must be finite")
+    if not (math.isfinite(constant) and np.isfinite(objective).all()):
+        raise InvalidObjective("objective coefficients and constant must be finite")
 
 
 def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
@@ -161,6 +163,7 @@ def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
     obj = np.zeros(len(result.var_map))
     obj[ins] = a.in_coeffs
     obj[outs] = a.out_coeffs
+    _check_objective(obj, len(obj), a.const)
     return obj
 
 
@@ -171,7 +174,7 @@ def check(a: LinearAssertion, result: AnalysisResult, eps: float = DEFAULT_EPS) 
     per cell: cells disjoint from the restriction are skipped, each other
     cell's LP is restricted to the cell met with the restriction, and the
     witness is the least cell minimum.  Raises InvalidTolerance unless
-    ``eps`` is a finite number >= 0.
+    ``eps`` is a finite number >= 0, InvalidObjective on a non-finite ``const``.
     """
     check_eps(eps)
     obj = _objective_of(a, result)
@@ -212,16 +215,11 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     """
     lo, hi, zones = result._cell_stack
     if a.restrict is not None:
-        lo, hi = lo.copy(), hi.copy()
-        for j, iv in enumerate(a.restrict):
-            if iv is not None:  # max and min as ``restriction_box`` takes them
-                lo[:, j] = np.where(iv[0] > lo[:, j], iv[0], lo[:, j])
-                hi[:, j] = np.where(iv[1] < hi[:, j], iv[1], hi[:, j])
+        lo, hi = _clip(lo, hi, a.restrict)
         meets = (lo <= hi).all(axis=1)
         lo, hi, zones = lo[meets], hi[meets], zones[meets]
     if not len(zones):
         return []
-    _check_objective(obj, zones.shape[-1] - 1)
     m, empty = _box_meet_close(zones, [s + 1 for s in result.input_slots], lo, hi, eps)
     if empty.any():
         m = m[~empty]

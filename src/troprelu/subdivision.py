@@ -20,6 +20,7 @@ Two mechanisms, both sound:
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,15 +91,14 @@ class SubdivisionGrid:
 
     @staticmethod
     def uniform(box: Box, n_cells) -> "SubdivisionGrid":
-        """Uniform grid; n_cells is an int or one int per dimension."""
-        if np.isscalar(n_cells):
-            n_cells = [int(n_cells)] * box.dim
-        if len(n_cells) != box.dim:
+        """Uniform grid; n_cells is an integer, or one integer per dimension."""
+        counts = [n_cells] * box.dim if np.ndim(n_cells) == 0 else list(n_cells)
+        if len(counts) != box.dim:
             raise InvalidDomain("one cell count per input dimension required")
         cuts = []
-        for j, n in enumerate(n_cells):
-            if n < 1:
-                raise InvalidDomain("cell counts must be >= 1")
+        for j, n in enumerate(counts):
+            if not isinstance(n, numbers.Integral) or n < 1:
+                raise InvalidDomain(f"cell counts must be integers >= 1, got {n!r}")
             cuts.append(np.linspace(box.lo[j], box.hi[j], n + 1))
         return SubdivisionGrid(tuple(cuts))
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from troprelu import network
-from troprelu.dbm import Dbm, best_zone_of_points, dbm_close, dbm_contains
+from troprelu.dbm import Box, Dbm, best_zone_of_points, dbm_box, dbm_close, dbm_contains
+from troprelu.layers import AffineLayer, zone_constants
 from troprelu.network import relu_extend
 from troprelu.tropical import internal_to_zone, zone_to_internal
 
@@ -94,3 +95,56 @@ class TestReluAppend:
             y = 4 + i
             assert got[y, 0] == max(0.0, hi[h]) and got[0, y] == -max(0.0, lo[h])
             assert got[y, h + 1] == max(0.0, -lo[h]) and got[h + 1, y] == min(0.0, hi[h])
+
+
+def closed_zone_stack(rng, integer: bool, count: int = 3) -> Dbm:
+    """``count`` closed zones of ``random_closed_zone`` of one dimension,
+    stacked."""
+    zones = [random_closed_zone(rng, integer)[0]]
+    while len(zones) < count:
+        zone, _ = random_closed_zone(rng, integer)
+        if zone.dim == zones[0].dim:
+            zones.append(zone)
+    return Dbm(np.stack([z.entries for z in zones]), closed=True)
+
+
+class TestKeptSlots:
+    """``_relu_append(zone, hs, n_keep)`` is the whole image sliced to the
+    first n_keep variables and the copies, bit for bit (signed zeros too),
+    on one zone and on a stack."""
+
+    @pytest.mark.parametrize("stack", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_whole_image_sliced(self, seed, integer, stack):
+        rng = np.random.default_rng(seed)
+        zone = closed_zone_stack(rng, integer) if stack else random_closed_zone(rng, integer)[0]
+        n = zone.dim
+        hs = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+        for n_keep in range(n + 1):
+            slots = np.r_[0 : 1 + n_keep, 1 + n : 1 + n + len(hs)]
+            want = network._relu_append(zone, hs).entries[..., slots[:, None], slots]
+            got = network._relu_append(zone, hs, n_keep)
+            assert got.closed
+            assert got.entries.shape == want.shape
+            assert got.entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("act", [False, True])
+    @pytest.mark.parametrize("track_all", [False, True])
+    def test_zone_step_slices_the_whole_image(self, act, track_all):
+        # a step from a carried zone over (x, h1): kept is x, or with
+        # track_all every carried slot; the next zone is the whole image
+        # of the pre-activation zone on (kept, post), or (kept, pre)
+        rng = np.random.default_rng(7)
+        box = Box(rng.uniform(-2, 0, 5), rng.uniform(0, 2, 5))
+        zone = dbm_close(Dbm(np.minimum(box.to_dbm().entries, 0.5 + rng.exponential(1.0, (6, 6)))))
+        cur = [2, 3, 4]
+        bounds = dbm_box(zone)
+        layer = AffineLayer(rng.standard_normal((4, 3)), rng.standard_normal(4), Box(bounds.lo[cur], bounds.hi[cur]))
+        kept = list(range(5 if track_all else 2))
+        nxt, again, pre_zone = network._zone_step(zone, cur, layer, zone_constants(layer), act, kept, 0.0)
+        assert again is nxt
+        pre = list(range(5, 9))
+        whole = network._relu_append(pre_zone, pre) if act else pre_zone
+        tail = [i + 4 for i in pre] if act else pre
+        assert nxt.entries.tobytes() == whole.slice([i + 1 for i in kept + tail]).entries.tobytes()

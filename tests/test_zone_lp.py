@@ -11,7 +11,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from troprelu import Box, Dbm, best_zone_of_points, dbm_close, min_over_zone
+from troprelu import (
+    AnalysisOptions,
+    Box,
+    Dbm,
+    LinearAssertion,
+    Network,
+    SubdivisionGrid,
+    analyze,
+    best_zone_of_points,
+    check,
+    dbm_close,
+    min_over_zone,
+)
 from troprelu.dbm import EMPTY
 from troprelu.errors import EmptyFeasibleSet, InvalidObjective
 from troprelu.simplex import minimize_over_dbm
@@ -227,3 +239,38 @@ def test_matches_linprog_on_larger_zones():
         want = linprog_minimum(zone, obj)
         got = min_over_zone(zone, None, obj)
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (trial, got, want)
+
+
+class TestNonFiniteConstant:
+    """A NaN or infinite assertion constant raises InvalidObjective, as a
+    non-finite coefficient does: otherwise a NaN minimum reads Unknown and
+    an infinite one Verified."""
+
+    # 2 -> 2 -> 1, W1 = [[1, 1], [1, -1]], W2 = [[1, 1]], zero biases
+    NET = Network(([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0]]), (np.zeros(2), np.zeros(1)))
+    BOX = Box([-1.0, -1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_raises(self, bad, grid):
+        subdiv = SubdivisionGrid.uniform(self.BOX, [2, 1]) if grid else None
+        res = analyze(self.NET, self.BOX, AnalysisOptions(subdiv=subdiv))
+        for a in (
+            LinearAssertion([0, 0], [1.0], bad),
+            LinearAssertion([0, 0], [0.0], bad),  # a zero objective
+            LinearAssertion([0, 0], [1.0], bad, ((5.0, 6.0), None)),  # vacuous
+        ):
+            with pytest.raises(InvalidObjective):
+                check(a, res)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_min_over_zone_raises(self, bad):
+        with pytest.raises(InvalidObjective):
+            min_over_zone(ZONE, None, np.array([0.0, 0.0, 1.0]), bad)
+        with pytest.raises(InvalidObjective):
+            min_over_zone(ZONE, None, np.zeros(3), bad)
+
+    def test_finite_constant_still_checks(self):
+        res = analyze(self.NET, self.BOX)
+        v = check(LinearAssertion([0, 0], [1.0], 0.0), res)
+        assert v.verified and np.isfinite(v.minimum)
