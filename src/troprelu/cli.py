@@ -185,7 +185,7 @@ def build_report(net_path, spec_path, args, result: AnalysisResult, verdicts, se
         "network": str(net_path),
         "spec": str(spec_path),
         "mode": args.mode,
-        "domain": args.domain,
+        "domain": result.diagnostics["domain"],
         "track": args.track,
         "subdiv": args.subdiv or "",
         "eps": args.eps,

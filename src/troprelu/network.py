@@ -41,9 +41,9 @@ space (+v, -v), which lets sum constraints tighten later layers through
 closure.  The meet is closed through +-current layer and strengthened;
 ``_oct_relu_append`` writes the same exact entries there.  That image and
 the input box's octagon (``_oct_from_box``) are strongly closed as built,
-so the chain runs no closure pass.  With ``keep_layer_records`` each
-layer's record holds the step's slot counts (``sizes``) and the zone
-ReLU image of its whole pre-activation zone, built for the record only.
+so the chain runs no closure pass.  A run without a grid keeps one record
+per layer in ``diagnostics["layers"]``: the step's slot counts (``sizes``)
+and its own closed pre-activation zone, over (carried, h).
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 points, clamped and projected onto the
@@ -333,7 +333,6 @@ class AnalysisOptions:
     track_all: bool = False
     subdiv: Optional[SubdivisionGrid] = None
     eps: float = DEFAULT_EPS
-    keep_layer_records: bool = True
 
     def __post_init__(self):
         check_eps(self.eps)
@@ -444,7 +443,7 @@ def _analyze_cellwise_union(net: Network, in_box: Box, options: AnalysisOptions)
     if (outer.lo < in_box.lo - options.eps).any() or (outer.hi > in_box.hi + options.eps).any():
         raise InvalidDomain("the grid reaches outside the input box")
     check_cell_budget(grid.n_cells)
-    cell_opts = replace(options, subdiv=None, keep_layer_records=False)
+    cell_opts = replace(options, subdiv=None)
     t0 = time.perf_counter()
     lo, hi = grid.cell_bounds()
     domain = _domain(options)
@@ -530,15 +529,14 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         full = dbm_box(zone)
         stage_box = Box(full.lo[..., len(kept) :], full.hi[..., len(kept) :])
         stage_boxes.append(stage_box)
-        if options.keep_layer_records:
-            keys = var_map + [("pre", j) for j in range(n_new)] + [("post", j) for j in range(n_new) if act]
+        if in_box.lo.ndim == 1:  # a stacked chunk of grid cells keeps no records
             records.append(
                 {
                     "stage": li + 1,
                     "input_box": cur_box,
                     "preact_box": Box(k.zone.out_lo, k.zone.out_hi),
                     "box": stage_box,
-                    "preact_zone": {"dbm": _relu_append(pre_zone, pre) if act else pre_zone, "keys": keys},
+                    "preact_zone": {"dbm": pre_zone, "keys": var_map + [("pre", j) for j in range(n_new)]},
                     "sizes": _step_sizes(domain, n_old, len(cur), n_new, len(kept), act),
                 }
             )

@@ -46,7 +46,8 @@ def check_cell_budget(n_cells: int) -> None:
 
 @dataclass(frozen=True)
 class SubdivisionGrid:
-    """Per-input cut points; cuts[i] runs from the box lower to upper bound."""
+    """Per-input cut points; cuts[i] runs from the box lower to upper bound.
+    A point interval c is one cell, cuts [c, c]."""
 
     cuts: tuple
 
@@ -56,7 +57,7 @@ class SubdivisionGrid:
         for c in cuts:
             if c.ndim != 1 or c.shape[0] < 2:
                 raise InvalidDomain("each dimension needs at least two cut points")
-            if not (np.diff(c) > 0).all():
+            if not (np.diff(c) > 0).all() and not (c.shape[0] == 2 and c[0] == c[1]):
                 raise InvalidDomain("cut points must be strictly increasing")
 
     @property
@@ -100,6 +101,9 @@ class SubdivisionGrid:
             if not isinstance(n, numbers.Integral) or n < 1:
                 raise InvalidDomain(f"cell counts must be integers >= 1, got {n!r}")
             cuts.append(np.linspace(box.lo[j], box.hi[j], n + 1))
+            if n > 1 and not (np.diff(cuts[-1]) > 0).all():
+                lo, hi = float(box.lo[j]), float(box.hi[j])
+                raise InvalidDomain(f"input x{j + 1} in [{lo!r}, {hi!r}] is too narrow for {n} cells")
         return SubdivisionGrid(tuple(cuts))
 
 

@@ -48,7 +48,6 @@ def reference_check(a, net, in_box, grid, options, eps=1e-9):
         domain=options.domain,
         track_all=options.track_all,
         eps=options.eps,
-        keep_layer_records=False,
     )
     worst = float("inf")
     all_ok = True

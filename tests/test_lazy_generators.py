@@ -110,8 +110,8 @@ def eager_internal(net, box, options, pre_zones) -> np.ndarray:
     m = pre_zones[-1].entries
     keys = res.diagnostics["layers"][-1]["preact_zone"]["keys"]
     act = net.has_relu(net.n_layers - 1)
-    new = "post" if act else "pre"
-    sel = [keys.index((new, j) if s == net.n_layers else (s, j)) for s, j in res.var_map]
+    post = net.n_outputs if act else 0  # a post copy's column: its pre column plus the outputs
+    sel = [keys.index(("pre", j)) + post if s == net.n_layers else keys.index((s, j)) for s, j in res.var_map]
     gens = scan_extreme_filter(np.vstack([-m[0, 1:], m[1:, 0][:, None] - m[1:, 1:]]), eps)
     if act:
         pre = [i for i, k in enumerate(keys) if k[0] == "pre"]

@@ -69,6 +69,6 @@ def test_grid_cells_keep_their_bits(scale, strengthened):
         first = strengthened[0]
         mixed += bool(first.any() and not first.all())
         for cell, zone in res.cells:
-            alone = analyze(net, cell, AnalysisOptions(domain=AbsDomain.OCTAGON, keep_layer_records=False))
+            alone = analyze(net, cell, AnalysisOptions(domain=AbsDomain.OCTAGON))
             assert same_bits(zone.entries, alone.zone.entries)
     assert mixed > 0  # a stack in which some cells were redone and some not

@@ -62,7 +62,7 @@ def assertions_of(box, objectives):
 def per_cell(net, grid, options, assertions, eps=1e-9):
     """Each cell analysed alone, the cells joined in order, and each
     assertion's status and minimum over the cells that meet it."""
-    cell_opts = replace(options, subdiv=None, keep_layer_records=False)
+    cell_opts = replace(options, subdiv=None)
     cells = [(cell, analyze(net, cell, cell_opts)) for cell in grid.cells()]
     zone = cells[0][1].zone.entries.copy()
     lo = [b.lo.copy() for b in cells[0][1].bounds]

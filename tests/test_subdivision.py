@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from troprelu import (
     zone_constants,
     zone_external,
 )
+from troprelu.cli import run_cli
 from troprelu.errors import CellBudgetExceeded, InvalidDomain
 from troprelu.tropical import intersect_external, zone_to_internal
 
-from conftest import assert_gen_set
+from conftest import FIXTURES, assert_gen_set
 
 NEG = float("-inf")
 
@@ -156,3 +159,57 @@ class TestGrid:
             SubdivisionGrid((np.array([1.0, 0.0]),))
         with pytest.raises(InvalidDomain):
             SubdivisionGrid.uniform(Box([0], [1]), [0])
+
+
+POINT_SPEC = {
+    "input_box": [[0.3, 0.3], [-1, 1]],
+    "assertions": [{"name": "q", "in_coeffs": [1, 0], "out_coeffs": [0, 0], "const": 0.0}],
+}
+
+
+def _point_argv(tmp_path):
+    spec = tmp_path / "point.spec"
+    spec.write_text(json.dumps(POINT_SPEC))
+    return ["--network", str(FIXTURES / "running.nt"), "--spec", str(spec)]
+
+
+class TestPointInterval:
+    """A point input interval [c, c] is one cell; the other inputs may be cut."""
+
+    def test_one_cell_axis(self):
+        grid = SubdivisionGrid.uniform(Box([0.3, -1], [0.3, 1]), [1, 2])
+        assert grid.n_cells == 2
+        assert [(c.lo.tolist(), c.hi.tolist()) for c in grid.cells()] == [
+            ([0.3, -1.0], [0.3, 0.0]),
+            ([0.3, 0.0], [0.3, 1.0]),
+        ]
+        assert SubdivisionGrid((np.array([0.3, 0.3]),)).n_cells == 1
+
+    @pytest.mark.parametrize("cuts", [[0.3, 0.3, 0.3], [0.3, 0.3, 1.0], [0.0, 0.3, 0.3]])
+    def test_only_a_single_cell_may_have_zero_width(self, cuts):
+        with pytest.raises(InvalidDomain, match="strictly increasing"):
+            SubdivisionGrid((np.array(cuts),))
+
+    @pytest.mark.parametrize("hi", [0.5, np.nextafter(0.5, 1.0)])
+    def test_cutting_a_point_names_the_input(self, hi):
+        with pytest.raises(InvalidDomain, match=r"input x2 in \[0\.5, .*\] is too narrow for 3 cells"):
+            SubdivisionGrid.uniform(Box([-1, 0.5], [1, hi]), [2, 3])
+
+    def test_cells_cover_the_traces(self, running2_net):
+        box = Box([0.3, -1], [0.3, 1])
+        res = analyze(running2_net, box, AnalysisOptions(subdiv=SubdivisionGrid.uniform(box, [1, 2])))
+        xs = np.column_stack([np.full(41, 0.3), np.linspace(-1, 1, 41)])
+        for b, v in zip(res.bounds, running2_net.trace(xs)):
+            assert b.contains(v, eps=1e-9).all()
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--mode", "box"], ["--mode", "external"], ["--domain", "octagon"], ["--track", "all"]]
+    )
+    def test_cli_subdivides_the_other_input(self, flags, tmp_path, capsys):
+        argv = _point_argv(tmp_path) + ["--subdiv", "x2:2", *flags]
+        assert run_cli(argv + ["--report", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == ["q: Verified (min 0.3)"]
+
+    def test_cli_rejects_cutting_the_point(self, tmp_path, capsys):
+        assert run_cli(_point_argv(tmp_path) + ["--subdiv", "x1:2"]) == 1
+        assert "input x1 in [0.3, 0.3] is too narrow for 2 cells" in capsys.readouterr().err
