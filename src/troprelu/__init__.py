@@ -5,7 +5,6 @@ from .dbm import (
     Dbm,
     EMPTY,
     OctDbm,
-    best_zone_of_points,
     dbm_box,
     dbm_close,
     dbm_contains,
@@ -15,7 +14,6 @@ from .layers import (
     OctAbsConstants,
     ZoneAbsConstants,
     oct_constants,
-    oct_dbm,
     zone_constants,
     zone_dbm,
     zone_external,
@@ -48,11 +46,8 @@ from .subdivision import (
 from .tropical import (
     TropExternal,
     TropInternal,
-    emb_external,
     external_membership_many,
     extreme_filter,
-    intersect_external,
-    internal_membership,
     internal_membership_many,
     internal_to_zone,
     proj_internal,
@@ -64,7 +59,6 @@ __all__ = [
     "Dbm",
     "EMPTY",
     "OctDbm",
-    "best_zone_of_points",
     "dbm_box",
     "dbm_close",
     "dbm_contains",
@@ -72,7 +66,6 @@ __all__ = [
     "OctAbsConstants",
     "ZoneAbsConstants",
     "oct_constants",
-    "oct_dbm",
     "zone_constants",
     "zone_dbm",
     "zone_external",
@@ -101,11 +94,8 @@ __all__ = [
     "subdivide_constraints",
     "TropExternal",
     "TropInternal",
-    "emb_external",
     "external_membership_many",
     "extreme_filter",
-    "intersect_external",
-    "internal_membership",
     "internal_membership_many",
     "internal_to_zone",
     "proj_internal",

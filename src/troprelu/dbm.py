@@ -47,8 +47,8 @@ alone.  ``Box.dim``, ``Box.width``, ``Box.to_dbm``, ``Dbm.dim``,
 ``Dbm.slice``, ``OctDbm.dim``, ``OctDbm.box``, ``dbm_box``,
 ``embed_dbm``, ``oct_close``, ``_strengthen``, ``_interface_close``,
 ``_box_meet_close`` and ``_shortest_paths`` read stacks; every other
-method and function, ``OctDbm.mirror`` and ``OctDbm.to_bounded_dbm``
-among them, takes a single box or matrix.
+method and function, ``OctDbm.to_bounded_dbm`` among them, takes a single
+box or matrix.
 
 Octagons add constraints on sums x_i + x_j.  They are encoded as a DBM
 over 2n doubled variables (+x_1..+x_n, -x_1..-x_n) with *no* constant
@@ -351,21 +351,6 @@ def _bounds_box(lo: np.ndarray, hi: np.ndarray) -> Box:
     return Box(np.where(point, hi, lo), np.where(point, lo, hi))
 
 
-def best_zone_of_points(points: np.ndarray) -> Dbm:
-    """Tightest zone containing a finite point set.
-
-    Every entry is the sup of x_i - x_j over the set (with x_0 = 0), so the
-    result is closed by construction and every finite constraint is
-    attained by some input point.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0 or pts.shape[0] == 0:
-        raise EmptyInput("best_zone_of_points needs at least one point")
-    aug = np.hstack([np.zeros((pts.shape[0], 1)), pts])
-    m = (aug[:, :, None] - aug[:, None, :]).max(axis=0)
-    return Dbm(m, closed=True)
-
-
 def dbm_contains(d: Dbm, points: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Boolean mask over points (rows) satisfying every finite constraint."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -430,10 +415,6 @@ class OctDbm:
         """Number of underlying variables (half the slot count)."""
         return self.entries.shape[-1] // 2
 
-    def mirror(self, slot: int) -> int:
-        n = self.dim
-        return slot + n if slot < n else slot - n
-
     def box(self) -> Box:
         n = self.dim
         hi = _diagonal(self.entries[..., :n, n:]) / 2.0
@@ -449,12 +430,11 @@ class OctDbm:
         mirror-diagonal entries (x_i <= b stored as 2b on (+x_i) - (-x_i)).
         """
         n2 = 2 * self.dim
+        p, q = np.arange(n2), _mirror(self.dim)
         m = np.full((n2 + 1, n2 + 1), INF)
         m[1:, 1:] = self.entries
-        for p in range(n2):
-            q = self.mirror(p)
-            m[p + 1, 0] = self.entries[p, q] / 2.0
-            m[0, p + 1] = self.entries[q, p] / 2.0
+        m[1:, 0] = self.entries[p, q] / 2.0
+        m[0, 1:] = self.entries[q, p] / 2.0
         np.fill_diagonal(m, 0.0)
         out = dbm_close(Dbm(m))
         if out is EMPTY:
@@ -723,14 +703,3 @@ def _factored_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     e[..., p:, c] = np.minimum(e[..., p:, c], b_yc)
     e[..., p:, p:] = np.minimum(b[..., k:, k:], col + row)
     return e
-
-
-def embed_oct(o: OctDbm, old_vars: Sequence[int], new_dim: int) -> OctDbm:
-    """Embed an octagon into a larger doubled space (0-based variable map)."""
-    if len(old_vars) != o.dim:
-        raise DimensionMismatch("variable map size does not match octagon")
-    m = np.full((2 * new_dim, 2 * new_dim), INF)
-    np.fill_diagonal(m, 0.0)
-    slots = np.asarray([*old_vars, *[v + new_dim for v in old_vars]], dtype=int)
-    m[np.ix_(slots, slots)] = o.entries
-    return OctDbm(m, closed=o.closed)

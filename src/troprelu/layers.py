@@ -38,14 +38,15 @@ no bound on the floating-point error is computed yet.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dbm import Box, Dbm, OctDbm, _fill_diagonal
+from .dbm import Box, Dbm, _fill_diagonal
 from .errors import DimensionMismatch
 from .maxplus import BOTTOM, DEFAULT_EPS
-from .tropical import TropExternal, TropInternal, extreme_filter
+from .tropical import TropExternal, TropInternal, zone_to_internal
 
 # floats in one row block of ``_pair_widths``' temporary: 256 KB, small
 # enough for the three passes over it to stay in cache
@@ -192,56 +193,31 @@ def zone_external(k: ZoneAbsConstants, layer: AffineLayer) -> TropExternal:
                           max_i' (y_i' - d[i', i]))            <= y_i - out_lo_i.
     """
     m = layer.n_inputs
-    n = layer.n_outputs
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
-    d = k.ext_offset
-    width = 1 + m + n
-    lhs = np.full((1 + m + n, width), BOTTOM)
-    rhs = np.full((1 + m + n, width), BOTTOM)
-    # row 0
-    lhs[0, 1 : 1 + m] = -hi
-    lhs[0, 1 + m :] = -k.out_hi
-    rhs[0, 0] = 0.0
-    # input rows
-    for j in range(m):
-        r = 1 + j
-        lhs[r, 0] = 0.0
-        lhs[r, 1 + m :] = k.slack[:, j] - k.out_hi
-        rhs[r, 1 + j] = -lo[j]
-    # output rows
-    for i in range(n):
-        r = 1 + m + i
-        lhs[r, 0] = 0.0
-        lhs[r, 1 : 1 + m] = k.slack[i, :] - hi
-        lhs[r, 1 + m :] = -d[:, i]
-        rhs[r, 1 + m + i] = -k.out_lo[i]
+    size = 1 + m + layer.n_outputs
+    xs, ys = slice(1, 1 + m), slice(1 + m, size)
+    lhs = np.full((size, size), BOTTOM)
+    rhs = np.full((size, size), BOTTOM)
+    lhs[0, xs] = -layer.in_box.hi
+    lhs[0, ys] = -k.out_hi
+    lhs[1:, 0] = 0.0
+    lhs[xs, ys] = k.slack.T - k.out_hi
+    lhs[ys, xs] = k.slack - layer.in_box.hi
+    lhs[ys, ys] = -k.ext_offset.T
+    _fill_diagonal(rhs, np.concatenate([[0.0], -layer.in_box.lo, -k.out_lo]))
     return TropExternal(lhs, rhs)
 
 
 def zone_internal(
     k: ZoneAbsConstants, layer: AffineLayer, eps: float = DEFAULT_EPS
 ) -> TropInternal:
-    """Internal tropical form: the m + n + 1 extreme points of the zone.
+    """Internal tropical form: the m + n + 1 extreme points of the zone,
+    read off ``zone_dbm`` by ``tropical.zone_to_internal``.
 
     A is the all-lower corner; B_j raises input j to its max and each
     output by its slack; C_i is the graph vertex where output i peaks.
     Degenerate layers produce duplicates, which the filter removes.
     """
-    m = layer.n_inputs
-    n = layer.n_outputs
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
-    pts = np.empty((1 + m + n, m + n))
-    pts[0] = np.concatenate([lo, k.out_lo])
-    for j in range(m):
-        x = lo.copy()
-        x[j] = hi[j]
-        pts[1 + j] = np.concatenate([x, k.out_lo + k.slack[:, j]])
-    cov = k.covertex
-    for i in range(n):
-        pts[1 + m + i] = np.concatenate([lo + k.slack[i, :], cov[i, :]])
-    return extreme_filter(TropInternal(pts), eps=eps)
+    return zone_to_internal(zone_dbm(k, layer), eps=eps)
 
 
 def zone_dbm(k: ZoneAbsConstants, layer: AffineLayer) -> Dbm:
@@ -254,11 +230,9 @@ def zone_dbm(k: ZoneAbsConstants, layer: AffineLayer) -> Dbm:
     e = np.empty(lo.shape[:-1] + (size, size))
     xs = slice(1, 1 + m)
     ys = slice(1 + m, size)
-    e[..., xs, 0] = hi
-    e[..., 0, xs] = -lo
+    e[..., : 1 + m, : 1 + m] = layer.in_box.to_dbm().entries  # the input box's zone
     e[..., ys, 0] = k.out_hi
     e[..., 0, ys] = -k.out_lo
-    e[..., xs, xs] = hi[..., :, None] - lo[..., None, :]
     e[..., ys, ys] = k.diff
     e[..., ys, xs] = k.out_hi[..., :, None] - lo[..., None, :] - k.slack
     e[..., xs, ys] = (hi[..., :, None] - k.out_lo[..., None, :]) - k.slack.swapaxes(-2, -1)
@@ -270,24 +244,16 @@ def oct_constants(layer: AffineLayer) -> OctAbsConstants:
     return _constants(layer, sums=True)
 
 
-def oct_dbm(k: OctAbsConstants, layer: AffineLayer) -> OctDbm:
-    """Tight octagon as a coherent, strongly closed doubled DBM.
-
-    Variable order (x_1..x_m, y_1..y_n); slot i is +v_i, slot m+n+i is
-    -v_i.  The entries are those of ``_oct_entries``, strongly closed as
-    built (see there), so no closure pass is run.
-    """
-    return OctDbm(_oct_entries(k, layer), closed=True)
-
-
 def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False) -> np.ndarray:
-    """Raw coherent doubled matrix of the tight octagon, slots (+x, +y, -x, -y)
-    as in ``oct_dbm``, or (+x, -x, +y, -y) with ``interface``; a stack of
-    them on a stacked input box.
+    """Raw coherent doubled matrix of the tight octagon, slots (+x, +y, -x, -y),
+    or (+x, -x, +y, -y) with ``interface``; a stack of them on a stacked
+    input box.
 
-    Every entry is the exact sup of the corresponding +-combination over
-    the graph, so the matrix is strongly closed as it stands: ``oct_dbm``
-    and the octagon chain's meet use it with no closure pass.
+    The ++ block is the zone's difference block, ``zone_dbm``'s entries
+    off slot 0, and the -- block its transpose; only the sum blocks are
+    built here.  Every entry is the exact sup of the corresponding
+    +-combination over the graph, so the matrix is strongly closed as it
+    stands: the octagon chain's meet uses it with no closure pass.
     """
     m = layer.n_inputs
     dim = m + layer.n_outputs
@@ -295,15 +261,12 @@ def _oct_entries(k: OctAbsConstants, layer: AffineLayer, interface: bool = False
     first = (0, 2 * m, m, m + dim) if interface else (0, m, dim, dim + m)  # of +x, +y, -x, -y
     px, py, mx, my = (slice(f, f + w) for f, w in zip(first, (m, dim - m) * 2))
     e = np.empty(lo.shape[:-1] + (2 * dim, 2 * dim))
-    # sup of v_j - v_i at (+i, +j), and at (-j, -i)
-    e[..., px, px] = hi[..., :, None] - lo[..., None, :]
-    e[..., py, py] = z.diff
-    e[..., py, px] = z.out_hi[..., :, None] - lo[..., None, :] - z.slack
-    e[..., px, py] = (hi[..., :, None] - z.out_lo[..., None, :]) - z.slack.swapaxes(-2, -1)
-    e[..., mx, mx] = e[..., px, px].swapaxes(-2, -1)
-    e[..., my, my] = e[..., py, py].swapaxes(-2, -1)
-    e[..., mx, my] = e[..., py, px].swapaxes(-2, -1)
-    e[..., my, mx] = e[..., px, py].swapaxes(-2, -1)
+    # sup of v_j - v_i at (+i, +j), and at (-j, -i): zone_dbm's blocks
+    zone = zone_dbm(z, layer).entries
+    slots = ((px, mx, slice(1, 1 + m)), (py, my, slice(1 + m, 1 + dim)))
+    for (pi, mi, zi), (pj, mj, zj) in itertools.product(slots, repeat=2):
+        e[..., pi, pj] = zone[..., zi, zj]
+        e[..., mj, mi] = zone[..., zi, zj].swapaxes(-2, -1)
     # sup of v_i + v_j at (+i, -j)
     e[..., px, mx] = hi[..., :, None] + hi[..., None, :]
     e[..., py, my] = k.sum_hi

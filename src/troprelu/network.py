@@ -57,10 +57,10 @@ constant carries a leading cell axis, and each cell's floats are computed
 as they would be alone (``np.matmul`` of a layer's weights against one
 column per cell gives each cell's matrix-vector product bit for bit; one
 matrix product over the stacked cells would round differently).  Cells
-go through in chunks that keep each stacked matrix within
-``_CELL_FLOATS`` floats.  A run without a grid is the same loop on one
-box, without the cell axis.  The grid must have one axis per input and
-lie inside the input box.  The cells are joined: the zone, the
+go through in chunks that keep the stacked matrices one step holds at
+once within ``_CELL_FLOATS`` floats.  A run without a grid is the same
+loop on one box, without the cell axis.  The grid must have one axis per
+input and lie inside the input box.  The cells are joined: the zone, the
 generators (the union of the cells' generators, also filtered on first
 access) and every stage's bounds cover the union of the cells, and
 ``AnalysisResult.cells`` keeps each cell's zone so that ``speccheck.check``
@@ -165,12 +165,7 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Concrete outputs for a batch of inputs."""
-        v = np.atleast_2d(np.asarray(x, dtype=float))
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            v = v @ w.T + b
-            if self.has_relu(i):
-                v = np.maximum(v, 0.0)
-        return v
+        return self.trace(x)[-1]
 
     def trace(self, x: np.ndarray) -> list:
         """Per-stage values (inputs first) for a batch of inputs."""
@@ -407,21 +402,27 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
     return res
 
 
-# most floats one stacked matrix of the cell engine may hold: cells are
-# analysed in chunks small enough for that (32 MB)
+# most floats the stacked matrices of one layer step may hold together:
+# cells are analysed in chunks small enough for that (32 MB)
 _CELL_FLOATS = 1 << 22
 _HULL_ROWS = 256  # most points one step of ``internal`` adds to the hull so far
 
 
 def _cell_floats(net: Network, track_all: bool, octagon: bool = False) -> int:
-    """Floats of the largest matrix the layer loop builds for one cell: a
-    layer's meet with its ReLU copies appended; with ``octagon`` four times
-    that, for the doubled meet and the ReLU image built from it."""
-    largest = 1
+    """Floats one cell holds at once in the layer loop's largest step: the
+    carried zone, the previous step's pre-activation zone (held until the
+    step returns), the layer's zone, and the meet with two temporaries of
+    its size (the interface blocks the dense products gather, or the Y
+    block sums of the factored ones); with ``octagon`` four times that, for
+    the doubled space."""
+    largest, prev = 1, 0
     for li in range(net.n_layers):
         hidden = sum(net.sizes[1:li]) if track_all else 0
         n_old = net.n_inputs + hidden + (net.sizes[li] if li else 0)
-        largest = max(largest, (1 + n_old + 2 * net.sizes[li + 1]) ** 2)
+        n_new = net.sizes[li + 1]
+        meet = (1 + n_old + n_new) ** 2
+        largest = max(largest, (1 + n_old) ** 2 + (1 + net.sizes[li] + n_new) ** 2 + 3 * meet + prev)
+        prev = meet
     return 4 * largest if octagon else largest
 
 

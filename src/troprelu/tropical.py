@@ -35,7 +35,7 @@ from .errors import (
     InfiniteEntry,
     NotClosed,
 )
-from .maxplus import BOTTOM, DEFAULT_EPS
+from .maxplus import DEFAULT_EPS
 
 
 @dataclass(frozen=True)
@@ -123,26 +123,6 @@ def external_membership_many(
     return out
 
 
-def internal_membership(
-    poly: TropInternal, point: np.ndarray, eps: float = DEFAULT_EPS
-) -> bool:
-    """Residuation test for tropical affine hull membership.
-
-    raw_j = min_k (p_k - g_{j,k}) is the largest coefficient keeping
-    raw_j + g_j <= p.  Clamping at 0 gives the greatest *admissible*
-    combination; the point is in the hull iff that combination reproduces
-    it and the affine side condition max_j lam_j = 0 is reachable, i.e.
-    some generator lies componentwise below the point (raw_j >= 0).
-    """
-    p = np.asarray(point, dtype=float)
-    if poly.n_generators == 0:
-        raise EmptyGenerators("membership test needs at least one generator")
-    if p.shape != (poly.dim,):
-        raise DimensionMismatch("point dimension does not match polyhedron")
-    g = poly.generators
-    return bool(_combines(p[None], g, _residuals(p[None], g), eps)[0])
-
-
 def _block_rows(per_row: int) -> int:
     """Rows per block so that a (rows, ...) temporary holds at most 2^16
     floats, which stays in cache."""
@@ -172,9 +152,11 @@ def _residuals(points: np.ndarray, gens: np.ndarray) -> np.ndarray:
 
 
 def _combines(points: np.ndarray, gens: np.ndarray, raw: np.ndarray, eps: float) -> np.ndarray:
-    """The test of ``internal_membership`` for every point row at once, from
-    ``raw = _residuals(points, gens)``; a -inf residual leaves that
-    generator out of that point's hull.
+    """Residuation test for hull membership of every point row, from
+    ``raw = _residuals(points, gens)``: a point is in the hull iff lam =
+    min(0, raw), the greatest admissible combination below it, reproduces
+    it and its largest residual is >= -eps (a -inf one leaves that
+    generator out).
 
     One coordinate k at a time (see ``_residuals``): recon[i] = max_j
     (gens[j, k] + lam[i, j]) reduces over j, the contiguous axis of an
@@ -310,26 +292,6 @@ def extreme_filter(poly: TropInternal, eps: float = DEFAULT_EPS) -> TropInternal
             if not (alive.any() and _combines(g[[i]], g[alive], raw[np.ix_([i], alive)], eps)[0]):
                 alive[i] = True
     return TropInternal(g[alive])
-
-
-def intersect_external(a: TropExternal, b: TropExternal) -> TropExternal:
-    """Intersection: concatenation of the two row systems."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("cannot intersect systems of different dimensions")
-    return TropExternal(np.vstack([a.lhs, b.lhs]), np.vstack([a.rhs, b.rhs]))
-
-
-def emb_external(ext: TropExternal, new_dims: int, position: int) -> TropExternal:
-    """Embed an inequality system: new columns are -inf in every row."""
-    if new_dims < 0 or position < 0 or position > ext.dim:
-        raise BadIndex("bad embedding position or count")
-    if new_dims == 0:
-        return ext
-    col = position + 1  # account for the constant slot
-    fill_l = np.full((ext.n_rows, new_dims), BOTTOM)
-    lhs = np.hstack([ext.lhs[:, :col], fill_l, ext.lhs[:, col:]])
-    rhs = np.hstack([ext.rhs[:, :col], fill_l.copy(), ext.rhs[:, col:]])
-    return TropExternal(lhs, rhs)
 
 
 def proj_internal(

@@ -6,7 +6,6 @@ from troprelu import (
     Box,
     Dbm,
     EMPTY,
-    best_zone_of_points,
     dbm_box,
     dbm_close,
     dbm_contains,
@@ -14,6 +13,8 @@ from troprelu import (
 from troprelu.dbm import OctDbm, embed_dbm, oct_close
 from troprelu.errors import EmptyFeasibleSet, EmptyInput, NotClosed, UnboundedVariable
 from troprelu.speccheck import min_over_zone
+
+from reference import best_zone_of_points
 
 INF = float("inf")
 

@@ -24,13 +24,13 @@ from troprelu.dbm import (
     Dbm,
     _factors_through_slot0,
     _interface_close,
-    best_zone_of_points,
     dbm_box,
     dbm_close,
 )
 from troprelu.layers import AffineLayer, zone_constants, zone_dbm
 
 from test_interface_closure import EPS, KINDS, assert_agree, draw_layer, draw_zone, pick_cur
+from reference import best_zone_of_points
 
 FACTOR_KINDS = KINDS + ("single",)
 

@@ -30,11 +30,9 @@ from troprelu.dbm import (
     OctDbm,
     _interface_close,
     _min_plus,
-    best_zone_of_points,
     dbm_box,
     dbm_close,
     embed_dbm,
-    embed_oct,
     oct_close,
 )
 from troprelu.errors import EmptyAbstraction, TropReluError
@@ -47,6 +45,7 @@ from troprelu.layers import (
 )
 
 from test_oct_closure import random_octagon
+from reference import best_zone_of_points, embed_oct
 
 EPS = 1e-9
 TOL = 1e-12

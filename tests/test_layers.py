@@ -9,7 +9,6 @@ from troprelu import (
     external_membership_many,
     internal_membership_many,
     oct_constants,
-    oct_dbm,
     proj_internal,
     zone_constants,
     zone_dbm,
@@ -19,6 +18,7 @@ from troprelu import (
 from troprelu.dbm import OctDbm, oct_close
 
 from conftest import assert_gen_set, random_layer
+from reference import oct_dbm
 
 INF = float("inf")
 NEG = float("-inf")

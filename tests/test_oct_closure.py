@@ -23,10 +23,11 @@ from troprelu.dbm import (
     OctDbm,
     _coherence_min,
     _floyd_warshall,
-    embed_oct,
     oct_close,
 )
 from troprelu.network import AbsDomain, AnalysisOptions, Network, analyze
+
+from reference import embed_oct
 
 
 def _oct_close_64(o: OctDbm, eps: float = 1e-9):

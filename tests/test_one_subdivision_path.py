@@ -25,8 +25,6 @@ from troprelu import (
     analyze,
     check,
     check_with_subdivision,
-    emb_external,
-    intersect_external,
     relu_external,
     zone_external,
 )
@@ -37,6 +35,7 @@ from troprelu.sherlock import parse_sherlock_tokens
 from troprelu.subdivision import CELL_BUDGET, check_cell_budget
 
 from conftest import FIXTURES, random_box, random_network
+from reference import emb_external, intersect_external
 
 
 def ext_embed(p_ext, cur_slots, n_before_new, n_new):

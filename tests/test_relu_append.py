@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from troprelu import network
-from troprelu.dbm import Box, Dbm, best_zone_of_points, dbm_box, dbm_close, dbm_contains
+from troprelu.dbm import Box, Dbm, dbm_box, dbm_close, dbm_contains
 from troprelu.layers import AffineLayer, zone_constants
 from troprelu.network import relu_extend
 from troprelu.tropical import internal_to_zone, zone_to_internal
+
+from reference import best_zone_of_points
 
 N_ZONES = 300
 

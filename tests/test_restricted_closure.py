@@ -26,12 +26,12 @@ from troprelu.dbm import (
     _diagonal,
     _fill_diagonal,
     _shortest_paths,
-    best_zone_of_points,
     dbm_close,
     embed_dbm,
 )
 
 from test_large_magnitudes import point_nets
+from reference import best_zone_of_points
 from test_layer_chain import battery
 from test_stacked_cells import same_bits
 

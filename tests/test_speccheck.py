@@ -11,7 +11,6 @@ from troprelu import (
     TropInternal,
     VerdictStatus,
     analyze,
-    best_zone_of_points,
     check,
     check_with_subdivision,
     dbm_close,
@@ -19,6 +18,8 @@ from troprelu import (
     min_over_zone,
 )
 from troprelu.errors import EmptyFeasibleSet, InvalidInterval, VariableMismatch
+
+from reference import best_zone_of_points
 
 INF = float("inf")
 

@@ -21,9 +21,10 @@ from troprelu import (
 )
 from troprelu.cli import run_cli
 from troprelu.errors import CellBudgetExceeded, InvalidDomain
-from troprelu.tropical import intersect_external, zone_to_internal
+from troprelu.tropical import zone_to_internal
 
 from conftest import FIXTURES, assert_gen_set
+from reference import intersect_external
 
 NEG = float("-inf")
 

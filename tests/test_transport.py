@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from troprelu import Box, best_zone_of_points, min_over_zone
+from troprelu import Box, min_over_zone
 from troprelu import simplex
 from troprelu.simplex import _transport, minimize_over_dbm
+
+from reference import best_zone_of_points
 
 INF = float("inf")
 

@@ -6,15 +6,11 @@ from troprelu import (
     Dbm,
     TropExternal,
     TropInternal,
-    best_zone_of_points,
     dbm_box,
     dbm_close,
     dbm_contains,
-    emb_external,
     extreme_filter,
     external_membership_many,
-    intersect_external,
-    internal_membership,
     internal_membership_many,
     internal_to_zone,
     proj_internal,
@@ -31,6 +27,7 @@ from troprelu.errors import (
 )
 
 from conftest import assert_gen_set, sample_hull
+from reference import best_zone_of_points, emb_external, intersect_external, internal_membership
 
 INF = float("inf")
 ZONE2 = np.array([[0.0, 3.0, 1.0], [1.0, 0.0, 0.0], [3.0, 4.0, 0.0]])

@@ -19,7 +19,6 @@ from troprelu import (
     Network,
     SubdivisionGrid,
     analyze,
-    best_zone_of_points,
     check,
     dbm_close,
     min_over_zone,
@@ -29,6 +28,7 @@ from troprelu.errors import EmptyFeasibleSet, InvalidObjective
 from troprelu.simplex import minimize_over_dbm
 
 from test_speccheck import vertex_minimum
+from reference import best_zone_of_points
 
 INF = float("inf")
 
