@@ -595,13 +595,23 @@ def _meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _factors_through_slot0(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: slot 0 is in C and a[i, j] == a[i, 0] + a[0, j]
-    bit for bit on every off-diagonal entry."""
+    """Per matrix of a stack: slot 0 is in C and every entry of a factors
+    through it (``_slot0_factors``)."""
     if not (c == 0).any():
         return np.zeros(a.shape[:-2], dtype=bool)
-    same = a == a[..., :, :1] + a[..., :1, :]
+    return _slot0_factors(a).all(axis=(-2, -1))
+
+
+def _slot0_factors(a: np.ndarray) -> np.ndarray:
+    """Per entry of a matrix (or of each matrix of a stack): whether
+    a[i, j] == a[i, 0] + a[0, j] bit for bit, the diagonal counted as
+    factoring.  The one definition of "factors through slot 0", for the
+    meet and for the zone LP (``simplex``).  A sum that overflows is inf
+    and factors only an inf entry, which bounds nothing."""
+    with np.errstate(over="ignore"):
+        same = a == a[..., :, :1] + a[..., :1, :]
     _fill_diagonal(same, True)
-    return same.all(axis=(-2, -1))
+    return same
 
 
 def _meet_block(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -128,18 +128,27 @@ def zone_constants(layer: AffineLayer) -> ZoneAbsConstants:
 def _mv(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w @ x for x of shape (..., m): one matrix-vector product per cell,
     each bit for bit the product of that cell alone (one gemm over the
-    stacked cells rounds differently)."""
+    stacked cells rounds differently).  x must be C-contiguous, as one
+    cell's row is: ``np.matmul`` rounds a one-row w against a strided
+    column differently (see ``_constants``)."""
     return np.matmul(w, x[..., None])[..., 0]
 
 
 def _constants(layer: AffineLayer, sums: bool):
     """Zone constants, and with ``sums`` the octagon constants, in product
     form (see module docstring).  On a stacked input box (leading cell
-    axes) every constant gets the same leading axes."""
+    axes) every constant gets the same leading axes.
+
+    The corners are made C-contiguous first.  A stack's column slice (the
+    current layer's slots of the carried box) is in Fortran order, and
+    ``np.matmul`` of a one-row weight against a column strided across the
+    cells sums in another order than against one cell's contiguous row:
+    without the copy, the products of ``_mv`` and ``_pair_widths`` would
+    not be the cell's floats alone."""
     w = layer.weights
     b = layer.bias
-    lo = layer.in_box.lo
-    hi = layer.in_box.hi
+    lo = np.ascontiguousarray(layer.in_box.lo)
+    hi = np.ascontiguousarray(layer.in_box.hi)
     neg = np.minimum(w, 0.0)
     pos = np.maximum(w, 0.0)
     out_lo = _mv(neg, hi) + _mv(pos, lo) + b

@@ -396,9 +396,11 @@ def analyze(net: Network, in_box: Box, options: AnalysisOptions = AnalysisOption
         raise DimensionMismatch("input box does not match network inputs")
     if options.subdiv is not None:
         return _analyze_cellwise_union(net, in_box, options)
-    res, layers = _analyze_single(net, in_box, options)
+    res = _analyze_single(net, in_box, options)
     if options.mode is ChainMode.EXTERNAL:
-        res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(net, layers)
+        res.diagnostics["external"], res.diagnostics["external_map"] = _external_system(
+            net, res.diagnostics["layers"]
+        )
     return res
 
 
@@ -482,7 +484,7 @@ def _analyze_chunk(net: Network, lo: np.ndarray, hi: np.ndarray, options: Analys
     all passing through it together: its result with every zone and stage
     box stacked over the cells."""
     try:
-        return _analyze_single(net, Box(lo, hi), options)[0]
+        return _analyze_single(net, Box(lo, hi), options)
     except TropReluError:
         # raise what analysing the cells one by one raises: the error of
         # the first cell that fails, not of the first layer where one does
@@ -495,10 +497,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     """One pass of the layer loop over ``in_box``: one box, or a stack of
     cell boxes (lo, hi of shape (C, m)), whose zones and stage boxes then
     carry the same leading axis.  Each cell's arithmetic is the same as
-    alone.
-
-    Returns the result and the (layer, zone constants) pairs, from which
-    ``analyze`` builds the external system of an unsubdivided run.
+    alone.  It holds one layer's object and constants at a time; only a
+    run on one box keeps its layer records.
     """
     eps = options.eps
     t0 = time.perf_counter()
@@ -509,7 +509,6 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     full = carried.box() if octagon else in_box  # bounds of every carried slot
     constants, step = (oct_constants, _oct_step) if octagon else (zone_constants, _zone_step)
     stage_boxes = [in_box]
-    layers = []
     records = []
 
     for li in range(net.n_layers):
@@ -521,7 +520,6 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         cur_box = Box(full.lo[..., cur], full.hi[..., cur])
         layer = AffineLayer(net.weights[li], net.biases[li], cur_box)
         k = constants(layer)  # the zone's, or the octagon's holding them as .zone
-        layers.append((layer, k.zone))
         n_new = layer.n_outputs
         pre = list(range(n_old, n_old + n_new))
         # tracked old slots, a prefix: the inputs, and every hidden stage with track_all
@@ -560,7 +558,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         },
         _hull=hull,
         _eps=eps,
-    ), layers
+    )
 
 
 def _domain(options: AnalysisOptions) -> AbsDomain:
@@ -703,19 +701,22 @@ def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
     return Dbm(e, closed=True)
 
 
-def _external_system(net: Network, layers: list):
+def _external_system(net: Network, records: list):
     """Row system over every input, pre- and post-activation variable.
 
-    Built from each layer's tight zone over its input box, plus the ReLU
-    rows over its pre-activation box; inequality systems cannot be
-    projected, so the system keeps every stage.  Each block of rows is
-    written once into the whole system, in layer order.  Returns (system,
-    map).
+    Built from each layer's tight zone over its input box, the box its
+    layer record keeps (external mode runs the zone chain, so these are the
+    constants the chain used, rebuilt), plus the ReLU rows over its
+    pre-activation box; inequality systems cannot be projected, so the
+    system keeps every stage.  Each block of rows is written once into the
+    whole system, in layer order.  Returns (system, map).
     """
     ext_map = [("x", 0, j) for j in range(net.n_inputs)]
     parts = []  # (rows, the system columns they cover)
     feed = list(range(net.n_inputs))
-    for li, (layer, k) in enumerate(layers):
+    for li, record in enumerate(records):
+        layer = AffineLayer(net.weights[li], net.biases[li], record["input_box"])
+        k = zone_constants(layer)
         n_new = layer.n_outputs
         h_dims = list(range(len(ext_map), len(ext_map) + n_new))
         ext_map += [("pre", li + 1, j) for j in range(n_new)]

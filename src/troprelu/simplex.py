@@ -20,10 +20,25 @@ ships the supplies whatever the paths: the bound rests on weak duality, not
 on optimality.  When the sum of the coefficients or the final cost leaves
 the float range, the value is -inf, which is still a lower bound.
 
+Before the transport, a support slot whose whole row and column factor
+through slot 0, m[v, j] == m[v, 0] + m[0, j] bit for bit (the test
+``dbm._slot0_factors`` shares with the factored meet), is bounded by its
+interval alone: it trades with slot 0 only, adds one flow term, -a_v m[v, 0]
+or a_v m[0, v], and leaves the problem (``_split``).  The transport runs
+on the relational core that remains, often a forced flow, with slot 0
+supplying the sum of the core's coefficients; the value is one -fsum over
+the core flow's products and the settled terms.  Together they are a flow
+of the whole problem, routed through slot 0, so the value rests on weak
+duality as before, whatever the rounding; in exact arithmetic it is the
+optimum, since a factoring slot's constraints against the others follow
+from the intervals.  The split runs only where the transport would (two
+or more sources and two or more sinks).
+
 The set-up of every problem of a stack (``minimize_over_dbms``), its sink
 potentials and each sink's sources ranked by cost, comes out of one numpy
-pass (``_setups``), so the Python loop per problem starts at the free
-phase; it counts the sources and sinks with supply or demand left.
+pass (``_setups``) per group of matrices that settle the same slots, so
+the Python loop per problem starts at the free phase; it counts the
+sources and sinks with supply or demand left.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ import math
 from itertools import chain
 
 import numpy as np
+
+from .dbm import _slot0_factors
 
 INF = math.inf
 
@@ -48,31 +65,92 @@ def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
     stack ``entries`` (C, s, s), in order.
 
     The supplies, sources and sinks depend on the objective alone, so they
-    are set up once; the cost rows of every matrix come out of one gather
-    and one ``tolist``, the columns, sink potentials and source ranks of
-    every transportation problem out of one numpy pass (``_setups``), and
-    only the forced sum or ``_transport`` runs per matrix.  A zero
-    coefficient is neither a source nor a sink, so a stack of whole zones
-    gives the minima of their sub-DBMs on the objective's support.
+    are set up once.  A zero coefficient is neither a source nor a sink, so
+    a stack of whole zones gives the minima of their sub-DBMs on the
+    objective's support.  One source or one sink forces the flow, a sum
+    over one gather of the cost rows.  Otherwise the slots of the support
+    that factor through slot 0 in a matrix are settled in closed form
+    there (``_split``), and the forced sum or ``_transport`` runs on the
+    rest.
     """
     a = [float(v) for v in objective]
     try:
         supply = [math.fsum(a)] + [-v for v in a]
     except OverflowError:
         return [-INF] * len(entries)
+    n_src = sum(b > 0 for b in supply)
+    if not n_src:
+        return [0.0] * len(entries)
+    if n_src == 1 or sum(b < 0 for b in supply) == 1:
+        return _flow_minima(supply, entries, [[]] * len(entries))
+    return _split(a, supply, entries)
+
+
+def _split(a: list, supply: list, entries: np.ndarray) -> list:
+    """The minima of ``minimize_over_dbms`` with two or more sources and
+    sinks, the support slots that factor through slot 0 in a matrix
+    settled in closed form (see the module docstring).
+
+    A slot factors when its whole row and column do, over every slot of
+    the matrix.  Its term is a Python float product, inf where it
+    overflows.  Slot 0 of the core supplies the fsum of the core's
+    coefficients; where that sum overflows the minimum is -inf.  The
+    matrices of a stack go through in groups that settle the same slots,
+    so each keeps the floats it gets alone, and a matrix that settles
+    none gets the unsplit problem's.
+    """
+    support = [v for v, b in enumerate(supply) if v and b]
+    same = _slot0_factors(entries)
+    factors = (same.all(axis=-1) & same.all(axis=-2)).tolist()
+    groups = {}
+    for i, row in enumerate(factors):
+        groups.setdefault(tuple(v for v in support if row[v]), []).append(i)
+    neg_lo, hi = entries[:, 0].tolist(), entries[:, :, 0].tolist()  # m[0, v] and m[v, 0]
+    out = [0.0] * len(entries)
+    for gone, members in groups.items():
+        core = supply.copy()
+        for v in gone:
+            core[v] = 0.0
+        try:
+            core[0] = math.fsum(-b for b in core[1:])
+        except OverflowError:
+            values = [-INF] * len(members)
+        else:
+            settled = [
+                [a[v - 1] * neg_lo[i][v] if a[v - 1] > 0 else -a[v - 1] * hi[i][v] for v in gone] for i in members
+            ]
+            values = _flow_minima(core, entries if len(groups) == 1 else entries[members], settled)
+        for i, v in zip(members, values):
+            out[i] = v
+    return out
+
+
+def _flow_minima(supply: list, entries: np.ndarray, settled: list) -> list:
+    """-(cost of the flow that ships ``supply``, one per slot of the stack
+    ``entries`` (C, s, s), plus the matrix's ``settled`` terms) per matrix:
+    the forced sum on one source or one sink, ``_transport`` otherwise.
+    The cost rows of every matrix come out of one gather and one
+    ``tolist``, the set-up of every transportation problem out of one numpy
+    pass (``_setups``)."""
     src = [v for v, b in enumerate(supply) if b > 0]
     snk = [v for v, b in enumerate(supply) if b < 0]
     if not src:
-        return [0.0] * len(entries)
+        return [_neg_sum(terms) for terms in settled]
     block = entries[:, np.asarray(src)[:, None], snk]
     costs = block.tolist()
     if len(src) == 1 or len(snk) == 1:
         # forced: a lone source meets every demand, a lone sink takes every supply
         flows = [min(supply[s], -supply[t]) for s in src for t in snk]
-        return [_neg_sum([f * c for f, c in zip(flows, chain.from_iterable(rows))]) for rows in costs]
+        return [
+            _neg_sum([f * c for f, c in zip(flows, chain.from_iterable(rows))] + terms)
+            for rows, terms in zip(costs, settled)
+        ]
     sup = [supply[s] for s in src]
     dem = [-supply[t] for t in snk]
-    return [_transport(rows, sup.copy(), dem.copy(), setup) for rows, setup in zip(costs, _setups(block))]
+    return [
+        _transport(rows, sup.copy(), dem.copy(), setup, terms)
+        for rows, setup, terms in zip(costs, _setups(block), settled)
+    ]
 
 
 def _setups(block: np.ndarray):
@@ -86,10 +164,11 @@ def _setups(block: np.ndarray):
     return zip(cols.tolist(), cols.min(axis=-1).tolist(), np.argsort(-cols, axis=-1, kind="stable").tolist())
 
 
-def _transport(cost: list, sup: list, dem: list, setup=None) -> float:
-    """-(cost of the final flow), or -inf when some demand cannot be reached.
-    ``setup`` is the problem's entry of ``_setups``, made here if not given.
-    Every augmentation empties a source, a sink or a flow arc."""
+def _transport(cost: list, sup: list, dem: list, setup=None, settled=()) -> float:
+    """-(cost of the final flow plus the terms ``settled`` elsewhere), or
+    -inf when some demand cannot be reached.  ``setup`` is the problem's
+    entry of ``_setups``, made here if not given.  Every augmentation
+    empties a source, a sink or a flow arc."""
     cols, pot, order = setup or next(_setups(np.asarray(cost, dtype=float)[None]))
     if INF in pot:
         return -INF  # no finite arc enters that sink
@@ -114,9 +193,9 @@ def _transport(cost: list, sup: list, dem: list, setup=None) -> float:
                 if not sup[i] > 0:
                     n_sup -= 1
                     if not n_sup:
-                        return _flow_value(cost, into)
+                        return _flow_value(cost, into, settled)
         if not n_dem:
-            return _flow_value(cost, into)
+            return _flow_value(cost, into, settled)
         for rank in order:
             while not sup[rank[-1]] > 0:
                 rank.pop()
@@ -149,7 +228,7 @@ def _transport(cost: list, sup: list, dem: list, setup=None) -> float:
                 if not into[j][k] > 0:
                     del into[j][k]
             if not (n_sup and n_dem):
-                return _flow_value(cost, into)
+                return _flow_value(cost, into, settled)
             if not delta < min(caps):
                 break
             key[end] = d  # only the sink's demand ran out: the tree stands, search on
@@ -186,8 +265,8 @@ def _search(cost, dem, pot, src_pot, into, pt, lab, key, reach, ps) -> tuple:
             return end, d
 
 
-def _flow_value(cost: list, into: list) -> float:
-    return _neg_sum([f * cost[i][t] for t, got in enumerate(into) for i, f in got.items()])
+def _flow_value(cost: list, into: list, settled=()) -> float:
+    return _neg_sum([f * cost[i][t] for t, got in enumerate(into) for i, f in got.items()] + list(settled))
 
 
 def _neg_sum(terms: list) -> float:

@@ -16,8 +16,9 @@ restriction is met into all those cell zones at once, and one stacked
 pass closes them through slot 0 (``dbm._box_meet_close``: a box's edges
 all factor through the constant slot, so a closed zone met with it needs
 one column and one row product, not a Floyd-Warshall pass); the LPs of
-all cells share one set-up and only the transportation solver runs cell
-by cell.
+all cells share one set-up, the cells that settle the same slots in
+closed form share one transport set-up (``simplex._split``), and only
+the transportation solver runs cell by cell.
 Refining the grid only shrinks per-cell zones, so a Verified verdict
 never flips back to Unknown.
 """

@@ -70,6 +70,22 @@ def incremental_external_system(net, layers):
     return ext, ext_map
 
 
+def chain_layers(monkeypatch, net, box, opts):
+    """One pass of the layer chain, and the (layer, zone constants) pairs
+    it builds, caught as it builds them."""
+    seen = []
+    real = network.zone_constants
+
+    def spy(layer):
+        seen.append((layer, real(layer)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(network, "zone_constants", spy)
+        res = network._analyze_single(net, box, opts)
+    return res, seen
+
+
 def assert_bit_identical(got, want):
     assert got.lhs.shape == want.lhs.shape
     for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
@@ -80,7 +96,7 @@ def assert_bit_identical(got, want):
 class TestOnePassExternalSystem:
     @pytest.mark.parametrize("final_relu", [True, False])
     @pytest.mark.parametrize("track_all", [False, True])
-    def test_equals_incremental_build(self, final_relu, track_all):
+    def test_equals_incremental_build(self, monkeypatch, final_relu, track_all):
         rng = np.random.default_rng(1010)
         opts = AnalysisOptions(mode=ChainMode.EXTERNAL, track_all=track_all)
         layer_counts = set()
@@ -88,9 +104,9 @@ class TestOnePassExternalSystem:
             net = random_network(rng, max_layers=3, max_width=5, final_relu=final_relu)
             box = random_box(rng, net.n_inputs)
             layer_counts.add(net.n_layers)
-            res, layers = network._analyze_single(net, box, opts)
+            res, layers = chain_layers(monkeypatch, net, box, opts)
             want, want_map = incremental_external_system(net, layers)
-            got, got_map = network._external_system(net, layers)
+            got, got_map = network._external_system(net, res.diagnostics["layers"])
             assert got_map == want_map
             assert_bit_identical(got, want)
             full = analyze(net, box, opts)
@@ -98,13 +114,13 @@ class TestOnePassExternalSystem:
             assert_bit_identical(full.diagnostics["external"], want)
         assert layer_counts == {1, 2, 3}
 
-    def test_signed_zeros_survive(self):
+    def test_signed_zeros_survive(self, monkeypatch):
         # the ReLU row y - h <= -min(0, h_lo) gives -0.0 when h_lo is 0.0
         net = network.Network(([[1.0, 0.0]], [[1.0]]), ([0.0], [0.0]))
         box = Box([0.0, -1.0], [1.0, 1.0])
         opts = AnalysisOptions(mode=ChainMode.EXTERNAL)
-        _, layers = network._analyze_single(net, box, opts)
-        got, _ = network._external_system(net, layers)
+        res, layers = chain_layers(monkeypatch, net, box, opts)
+        got, _ = network._external_system(net, res.diagnostics["layers"])
         want, _ = incremental_external_system(net, layers)
         assert np.signbit(got.rhs[got.rhs == 0.0]).any()
         assert_bit_identical(got, want)

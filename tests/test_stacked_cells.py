@@ -38,6 +38,7 @@ from troprelu.errors import (
     InvalidDomain,
     TropReluError,
 )
+from troprelu.network import AbsDomain
 
 from conftest import FIXTURES
 from test_layer_chain import battery, settings
@@ -149,6 +150,32 @@ class TestStackedMatchesPerCell:
                 v = check(a, got)
                 assert v.status is status and same_bits(v.minimum, minimum), idx
         assert failures < len(battery())
+
+
+class TestOneOutputLayers:
+    """A layer with one output multiplies a one-row weight against each
+    cell's box; the cells of a stack must get the floats of that product
+    alone, also where the current layer's slots are a strided slice of the
+    carried box."""
+
+    @pytest.mark.parametrize("domain", [AbsDomain.ZONE, AbsDomain.OCTAGON])
+    @pytest.mark.parametrize("sizes", [(48, 1), (48, 48, 1), (20, 5, 1), (4, 4, 1)])
+    def test_chunk_cells_match_each_box_alone(self, sizes, domain):
+        rng = np.random.default_rng(3)
+        net = Network(
+            tuple(rng.uniform(-1, 1, (b, a)) for a, b in zip(sizes, sizes[1:])),
+            tuple(rng.uniform(-0.5, 0.5, b) for b in sizes[1:]),
+            final_relu=False,
+        )
+        centre = rng.uniform(-1, 1, (32, sizes[0]))
+        lo, hi = centre - 0.05, centre + 0.05
+        options = AnalysisOptions(domain=domain)
+        chunk = network._analyze_chunk(net, lo, hi, options)
+        for c in range(len(lo)):
+            alone = analyze(net, Box(lo[c], hi[c]), options)
+            assert same_bits(chunk.zone.entries[c], alone.zone.entries), c
+            for s, (b, want) in enumerate(zip(chunk.bounds, alone.bounds)):
+                assert same_bits(b.lo[c], want.lo) and same_bits(b.hi[c], want.hi), (c, s)
 
 
 class TestChunks:
