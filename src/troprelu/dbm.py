@@ -602,15 +602,21 @@ def _factors_through_slot0(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _slot0_factors(a).all(axis=(-2, -1))
 
 
-def _slot0_factors(a: np.ndarray) -> np.ndarray:
-    """Per entry of a matrix (or of each matrix of a stack): whether
-    a[i, j] == a[i, 0] + a[0, j] bit for bit, the diagonal counted as
-    factoring.  The one definition of "factors through slot 0", for the
-    meet and for the zone LP (``simplex``).  A sum that overflows is inf
-    and factors only an inf entry, which bounds nothing."""
+def _slot0_factors(a: np.ndarray, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Per entry of the ``rows`` (default: all) of a matrix, or of each
+    matrix of a stack, over every column: whether a[i, j] ==
+    a[i, 0] + a[0, j] bit for bit, the diagonal counted as factoring.  The
+    one definition of "factors through slot 0", for the meet and for the
+    zone LP (``simplex``), which reads columns as rows of the transpose
+    (float addition commutes).  A sum that overflows is inf and factors
+    only an inf entry, which bounds nothing."""
+    g = a if rows is None else a[..., rows, :]
     with np.errstate(over="ignore"):
-        same = a == a[..., :, :1] + a[..., :1, :]
-    _fill_diagonal(same, True)
+        same = g == g[..., :1] + a[..., :1, :]
+    if rows is None:
+        _fill_diagonal(same, True)
+    else:
+        same[..., np.arange(len(rows)), rows] = True
     return same
 
 

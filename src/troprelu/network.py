@@ -86,6 +86,7 @@ from .dbm import (
     _coherence_min,
     _fill_diagonal,
     _interface_close,
+    _mirror,
     _strengthen,
     _ulp_of_largest,
     dbm_box,
@@ -286,7 +287,7 @@ def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] =
     k = len(keep)
     size = k + r
     old = o.entries
-    mir = np.concatenate([np.arange(n, 2 * n), np.arange(0, n)])
+    mir = _mirror(n)
     ub = old[..., np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
     hp = np.asarray(h_vars, dtype=int)
     hm = hp + n

@@ -92,19 +92,20 @@ def _split(a: list, supply: list, entries: np.ndarray) -> list:
     settled in closed form (see the module docstring).
 
     A slot factors when its whole row and column do, over every slot of
-    the matrix.  Its term is a Python float product, inf where it
-    overflows.  Slot 0 of the core supplies the fsum of the core's
-    coefficients; where that sum overflows the minimum is -inf.  The
-    matrices of a stack go through in groups that settle the same slots,
-    so each keeps the floats it gets alone, and a matrix that settles
-    none gets the unsplit problem's.
+    the matrix; only the support's rows and columns are tested.  Its term
+    is a Python float product, inf where it overflows.  Slot 0 of the core
+    supplies the fsum of the core's coefficients; where that sum overflows
+    the minimum is -inf.  The matrices of a stack go through in groups
+    that settle the same slots, so each keeps the floats it gets alone,
+    and a matrix that settles none gets the unsplit problem's.
     """
     support = [v for v, b in enumerate(supply) if v and b]
-    same = _slot0_factors(entries)
-    factors = (same.all(axis=-1) & same.all(axis=-2)).tolist()
+    v = np.asarray(support)
+    rows = _slot0_factors(entries, v).all(axis=-1)
+    factors = (rows & _slot0_factors(entries.swapaxes(-2, -1), v).all(axis=-1)).tolist()
     groups = {}
     for i, row in enumerate(factors):
-        groups.setdefault(tuple(v for v in support if row[v]), []).append(i)
+        groups.setdefault(tuple(v for v, f in zip(support, row) if f), []).append(i)
     neg_lo, hi = entries[:, 0].tolist(), entries[:, :, 0].tolist()  # m[0, v] and m[v, 0]
     out = [0.0] * len(entries)
     for gone, members in groups.items():

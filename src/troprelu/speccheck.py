@@ -4,23 +4,24 @@ An assertion  h(x, y) = in_coeffs.x + out_coeffs.y + const >= 0  is
 checked by minimising h over the enclosing zone of the abstraction: a
 linear program over the difference constraints, solved exactly on the
 closed sub-DBM of h's variables as its dual transportation problem
-(``simplex.minimize_over_dbm``).  A nonnegative minimum
+(``simplex.minimize_over_dbms``).  A nonnegative minimum
 proves the assertion for every concrete execution; a negative minimum
 proves nothing, because the zone over-approximates, so the verdict is
 Unknown rather than Violated.
 
-Under an input subdivision the check runs per grid cell of one cell-wise
-analysis (``AnalysisResult.cells``): the assertion is verified iff every
-cell whose box meets the assertion's input restriction passes.  The
-restriction is met into all those cell zones at once, and one stacked
-pass closes them through slot 0 (``dbm._box_meet_close``: a box's edges
-all factor through the constant slot, so a closed zone met with it needs
-one column and one row product, not a Floyd-Warshall pass); the LPs of
-all cells share one set-up, the cells that settle the same slots in
-closed form share one transport set-up (``simplex._split``), and only
-the transportation solver runs cell by cell.
-Refining the grid only shrinks per-cell zones, so a Verified verdict
-never flips back to Unknown.
+Every result is checked as a stack of cells (``_cell_minima``): the
+cells of its grid (``AnalysisResult.cells``) or, without a grid, one cell,
+its input box and its zone.  The assertion is verified iff every cell
+that meets its input restriction passes.  A cell meets a box only when
+the assertion restricts its inputs: the restriction is met into those
+cell zones at once, closed through slot 0 in one stacked pass
+(``dbm._box_meet_close``).  Without a restriction the zones go to the LP
+as the analysis closed them: the LP value is -(the cost of a flow), a
+lower bound by weak duality over any DBM of the zone, so re-closing a
+cell through its own box adds nothing to soundness.  The LPs of all
+cells share one set-up (``simplex.minimize_over_dbms``) and only the
+transportation solver runs cell by cell.  Refining the grid only shrinks
+per-cell zones, so a Verified verdict never flips back to Unknown.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .dbm import Box, Dbm, EMPTY, _box_meet_close, dbm_close, embed_dbm
 from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS, check_eps
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
-from .simplex import minimize_over_dbm, minimize_over_dbms
+from .simplex import minimize_over_dbms
 from .subdivision import SubdivisionGrid
 
 
@@ -114,33 +115,44 @@ def min_over_zone(
 
     ``box_restriction`` tightens the listed slots (default: the leading
     ones) before minimising; the intersection is closed first, so the
-    restriction propagates into every difference bound.  A closed zone's
-    meet is closed through slot 0 (``_box_meet_close``), as a grid cell's
-    is in ``check``, so both give the same bits; a zone not marked closed
-    is met and closed by Floyd-Warshall (``dbm_close``).  Returns -inf when
+    restriction propagates into every difference bound.  Without one the
+    zone meets no box: the LP value is a weak-duality bound over any DBM.
+    A closed zone is a one-cell stack of ``_stack_minima``, as in
+    ``check``, so both give the same bits; a zone not marked closed is met
+    and closed by Floyd-Warshall (``dbm_close``) first.  Returns -inf when
     the program is unbounded; raises EmptyFeasibleSet when the restriction
     empties the zone, InvalidObjective on a non-finite coefficient or constant.
     """
     check_eps(eps)
     objective = np.asarray(objective, dtype=float)
     _check_objective(objective, zone.dim, constant)
-    m, empty = zone.entries, False
+    m, meet = zone.entries[None], None
     if box_restriction is not None:
         slots = list(range(1, box_restriction.dim + 1)) if restrict_slots is None else restrict_slots
-        if zone.closed:
-            m, empty = _box_meet_close(m, slots, box_restriction.lo, box_restriction.hi, eps)
-        else:
-            m = np.minimum(m, embed_dbm(box_restriction.to_dbm(), slots, zone.dim).entries)
+        meet = (slots, box_restriction.lo[None], box_restriction.hi[None])
     if not zone.closed:
-        work = dbm_close(Dbm(m), eps=eps)
-        empty = work is EMPTY
-        m = None if empty else work.entries
-    if empty:
+        if meet is not None:
+            m = np.minimum(m, embed_dbm(box_restriction.to_dbm(), slots, zone.dim).entries)
+        work, meet = dbm_close(Dbm(m[0]), eps=eps), None
+        m = m[:0] if work is EMPTY else work.entries[None]
+    minima = _stack_minima(m, meet, objective, constant, eps)
+    if not minima:
         raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
-    if not objective.any():
-        return float(constant)
-    val = minimize_over_dbm(objective, m)
-    return val + constant if np.isfinite(val) else val
+    return minima[0]
+
+
+def _stack_minima(zones: np.ndarray, meet: Optional[tuple], obj: np.ndarray, const: float, eps: float) -> list:
+    """min obj.v + const over each closed zone of the stack ``zones``
+    (C, s, s), in order; -inf where the program is unbounded.  ``meet`` =
+    (slots, lo, hi), corners (C, len(slots)), first meets each zone with
+    its box on those 1-based slots (``_box_meet_close``); the zones it
+    empties give no minimum."""
+    if meet is not None and len(zones):
+        zones, empty = _box_meet_close(zones, *meet, eps)
+        zones = zones[~empty]
+    if not (obj.any() and len(zones)):
+        return [float(const)] * len(zones)
+    return [v + const if np.isfinite(v) else v for v in minimize_over_dbms(obj, zones)]
 
 
 def _check_objective(objective: np.ndarray, dim: int, constant: float = 0.0) -> None:
@@ -171,62 +183,38 @@ def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
 def check(a: LinearAssertion, result: AnalysisResult, eps: float = DEFAULT_EPS) -> Verdict:
     """Verified iff the zone minimum of h is >= -eps; otherwise Unknown.
 
-    On a subdivided result (``result.cells`` non-empty) the minimum is taken
-    per cell: cells disjoint from the restriction are skipped, each other
-    cell's LP is restricted to the cell met with the restriction, and the
-    witness is the least cell minimum.  Raises InvalidTolerance unless
-    ``eps`` is a finite number >= 0, InvalidObjective on a non-finite ``const``.
+    The minimum is the least over the result's cells (``_cell_minima``;
+    without a grid, one cell: the input box and the zone).  Cells disjoint
+    from the restriction are skipped, and a cell meets a box only under a
+    restriction, since the LP value is a weak-duality bound on any DBM.
+    Raises InvalidTolerance unless ``eps`` is a finite number >= 0,
+    InvalidObjective on a non-finite ``const``.
     """
     check_eps(eps)
-    obj = _objective_of(a, result)
-    if result._cell_stack is not None:
-        minima = _cell_minima(a, result, obj, eps)
-        method = "cellwise-zone-lp"
-    else:
-        meet = a.restriction_box(result.bounds[0])
-        minima = []
-        if meet is not None:
-            restriction = None if a.restrict is None else meet
-            slots = [s + 1 for s in result.input_slots]
-            try:
-                minima.append(
-                    min_over_zone(result.zone, restriction, obj, a.const, restrict_slots=slots, eps=eps)
-                )
-            except EmptyFeasibleSet:
-                pass
-        method = "zone-lp"
+    minima = _cell_minima(a, result, _objective_of(a, result), eps)
     if not minima:
         return Verdict(VerdictStatus.VERIFIED, float("inf"), "vacuous")
     m = min(minima)
     status = VerdictStatus.VERIFIED if m >= -eps else VerdictStatus.UNKNOWN
-    return Verdict(status, m, method)
+    return Verdict(status, m, "zone-lp" if result._cell_stack is None else "cellwise-zone-lp")
 
 
 def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, eps: float) -> list:
-    """``min_over_zone`` of every grid cell whose box meets the assertion's
-    restriction, on the cell met with the restriction, in cell order; cells
-    that the restriction empties are skipped.
-
-    The meets are closed through slot 0 in one stacked pass
-    (``_box_meet_close``), with the same arithmetic per cell as alone and
-    as ``min_over_zone`` on that cell and meet; without a restriction too,
-    since closing a cell zone met with its own box can still move entries
-    by rounding.  The LPs of all live cells then share one set-up
-    (``minimize_over_dbms``).
-    """
-    lo, hi, zones = result._cell_stack
-    if a.restrict is not None:
-        lo, hi = _clip(lo, hi, a.restrict)
-        meets = (lo <= hi).all(axis=1)
-        lo, hi, zones = lo[meets], hi[meets], zones[meets]
-    if not len(zones):
-        return []
-    m, empty = _box_meet_close(zones, [s + 1 for s in result.input_slots], lo, hi, eps)
-    if empty.any():
-        m = m[~empty]
-    if not obj.any():
-        return [float(a.const)] * len(m)
-    return [v + a.const if np.isfinite(v) else v for v in minimize_over_dbms(obj, m)]
+    """``_stack_minima`` over every cell of ``result`` (its grid's cells,
+    or its input box and zone), in cell order.  A cell meets a box, its
+    own clipped to the restriction, only when the assertion restricts,
+    and the cells disjoint from it are dropped.  Unrestricted, the cell
+    zones go to the LP as the analysis closed them, as a lone box's zone
+    does: the LP value is a weak-duality bound over any DBM of the zone,
+    so a re-closure through the cell's box adds nothing to soundness."""
+    box = result.bounds[0]
+    lo, hi, zones = result._cell_stack or (box.lo[None], box.hi[None], result.zone.entries[None])
+    if a.restrict is None:
+        return _stack_minima(zones, None, obj, a.const, eps)
+    lo, hi = _clip(lo, hi, a.restrict)
+    meets = (lo <= hi).all(axis=1)
+    slots = [s + 1 for s in result.input_slots]
+    return _stack_minima(zones[meets], (slots, lo[meets], hi[meets]), obj, a.const, eps)
 
 
 def check_with_subdivision(

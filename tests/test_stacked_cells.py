@@ -85,7 +85,7 @@ def per_cell(net, grid, options, assertions, eps=1e-9):
             obj[res.output_slots] = a.out_coeffs
             slots = [s + 1 for s in res.input_slots]
             try:
-                minima.append(min_over_zone(res.zone, meet, obj, a.const, restrict_slots=slots, eps=eps))
+                minima.append(min_over_zone(res.zone, None if a.restrict is None else meet, obj, a.const, restrict_slots=slots, eps=eps))
             except EmptyFeasibleSet:
                 pass
         if not minima:
