@@ -204,14 +204,11 @@ def _fill_diagonal(m: np.ndarray, value) -> None:
 
 
 def _floyd_warshall(m: np.ndarray) -> np.ndarray:
-    """Floyd-Warshall over every slot of each matrix of a stack, in place."""
-    n = m.shape[-1]
-    flat = m.reshape((math.prod(m.shape[:-2]), n, n))
-    step = max(1, (1 << 17) // max(n * n, 1))  # cells per block: 1 MB, kept in cache
-    for block in (flat[c : c + step] for c in range(0, len(flat), step)):
-        for k in range(n):
-            np.minimum(block, block[:, :, k, None] + block[:, None, k, :], out=block)
-    return flat.reshape(m.shape)
+    """Floyd-Warshall over every slot of each matrix of a stack, in place:
+    only for library input nobody closed, since the analysis runs none."""
+    for k in range(m.shape[-1]):
+        np.minimum(m, m[..., :, k, None] + m[..., None, k, :], out=m)
+    return m
 
 
 def _shortest_paths(entries: np.ndarray, eps: float):

@@ -22,6 +22,8 @@ cell through its own box adds nothing to soundness.  The LPs of all
 cells share one set-up (``simplex.minimize_over_dbms``) and only the
 transportation solver runs cell by cell.  Refining the grid only shrinks
 per-cell zones, so a Verified verdict never flips back to Unknown.
+``min_over_zone`` takes the same route for one zone; only a zone not
+marked closed, which the analysis never makes, is first closed alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dbm import Box, Dbm, EMPTY, _box_meet_close, dbm_close, embed_dbm
-from .errors import EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
+from .dbm import Box, Dbm, EMPTY, _box_meet_close, dbm_close
+from .errors import DimensionMismatch, EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS, check_eps
 from .network import AnalysisOptions, AnalysisResult, Network, analyze
 from .simplex import minimize_over_dbms
@@ -117,27 +119,29 @@ def min_over_zone(
     ones) before minimising; the intersection is closed first, so the
     restriction propagates into every difference bound.  Without one the
     zone meets no box: the LP value is a weak-duality bound over any DBM.
-    A closed zone is a one-cell stack of ``_stack_minima``, as in
-    ``check``, so both give the same bits; a zone not marked closed is met
-    and closed by Floyd-Warshall (``dbm_close``) first.  Returns -inf when
-    the program is unbounded; raises EmptyFeasibleSet when the restriction
-    empties the zone, InvalidObjective on a non-finite coefficient or constant.
+    The zone is a one-cell stack of ``_stack_minima``, as in ``check``, so
+    both give the same bits; a zone not marked closed is first closed alone
+    by Floyd-Warshall (``dbm_close``).  Returns -inf when the program is
+    unbounded; raises EmptyFeasibleSet when the zone or its meet is empty,
+    DimensionMismatch when ``restrict_slots`` does not fit the zone and the
+    box, InvalidObjective on a non-finite coefficient or constant.
     """
     check_eps(eps)
     objective = np.asarray(objective, dtype=float)
     _check_objective(objective, zone.dim, constant)
-    m, meet = zone.entries[None], None
+    if not zone.closed:
+        zone = dbm_close(zone, eps=eps)
+        if zone is EMPTY:
+            raise EmptyFeasibleSet("the zone is empty")
+    meet = None
     if box_restriction is not None:
         slots = list(range(1, box_restriction.dim + 1)) if restrict_slots is None else restrict_slots
+        if len(slots) != box_restriction.dim or not all(1 <= s <= zone.dim for s in slots):
+            raise DimensionMismatch("restrict_slots must name one zone slot per restricted variable")
         meet = (slots, box_restriction.lo[None], box_restriction.hi[None])
-    if not zone.closed:
-        if meet is not None:
-            m = np.minimum(m, embed_dbm(box_restriction.to_dbm(), slots, zone.dim).entries)
-        work, meet = dbm_close(Dbm(m[0]), eps=eps), None
-        m = m[:0] if work is EMPTY else work.entries[None]
-    minima = _stack_minima(m, meet, objective, constant, eps)
+    minima = _stack_minima(zone.entries[None], meet, objective, constant, eps)
     if not minima:
-        raise EmptyFeasibleSet("the zone, met with any restriction, is empty")
+        raise EmptyFeasibleSet("the zone, met with the restriction, is empty")
     return minima[0]
 
 
@@ -146,13 +150,11 @@ def _stack_minima(zones: np.ndarray, meet: Optional[tuple], obj: np.ndarray, con
     (C, s, s), in order; -inf where the program is unbounded.  ``meet`` =
     (slots, lo, hi), corners (C, len(slots)), first meets each zone with
     its box on those 1-based slots (``_box_meet_close``); the zones it
-    empties give no minimum."""
+    empties give no minimum.  A zero objective's LP value is 0.0."""
     if meet is not None and len(zones):
         zones, empty = _box_meet_close(zones, *meet, eps)
         zones = zones[~empty]
-    if not (obj.any() and len(zones)):
-        return [float(const)] * len(zones)
-    return [v + const if np.isfinite(v) else v for v in minimize_over_dbms(obj, zones)]
+    return [v + const for v in minimize_over_dbms(obj, zones)]
 
 
 def _check_objective(objective: np.ndarray, dim: int, constant: float = 0.0) -> None:

@@ -8,9 +8,14 @@ forced sum) runs on the slots that remain.  The value is the optimum in
 exact arithmetic, so it is checked against ``scipy.optimize.linprog`` and
 against the pre-split solver (``parent_minimize_over_dbm``) within
 1e-13 (1 + |v|); a stack must give each matrix the floats it gets alone.
+A core whose coefficients sum past the float range has minimum -inf, with
+no flow computed.
 """
 
 from __future__ import annotations
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,3 +177,25 @@ class TestUnbounded:
             want = linprog_minimum(Dbm(m, closed=True), obj)
             got = minimize_over_dbm(obj, m)
             assert got == want == -INF or near(got, want), (obj, got, want)
+
+
+class TestOverflow:
+    def test_a_core_sum_that_overflows_is_minus_infinity(self, monkeypatch):
+        # x1, x3 in [0, 1] with |x1 - x3| <= 0.5 and x2, x4 in [0, 1]: x2
+        # and x4 settle in closed form.  The coefficients sum to 0 in slot
+        # order, but the core's, 1e308 on x1 and on x3, sum past the float
+        # range at slot 0
+        m = Box(np.zeros(4), np.ones(4)).to_dbm().entries.copy()
+        m[1, 3] = m[3, 1] = 0.5
+        closed = dbm_close(Dbm(m))
+        assert closed is not EMPTY
+        obj = np.array([1e308, -1e308, 1e308, -1e308])
+        assert math.fsum(obj) == 0.0
+        assert settled(closed.entries, obj).tolist() == [False, True, False, True]
+        flows = []
+        real = simplex._flow_minima
+        monkeypatch.setattr(simplex, "_flow_minima", lambda *args: flows.append(1) or real(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert minimize_over_dbm(obj, closed.entries) == -INF
+        assert flows == []

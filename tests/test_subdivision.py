@@ -91,6 +91,16 @@ class TestGeneralConstraints:
         assert (in_both <= in_base).all()
         assert in_both.sum() < in_base.sum()
 
+    def test_zero_width_group_rows_hold_on_the_graph(self, rng, unit_box2):
+        # zero weights: every output is a constant, so each output group has
+        # zero total width and its lower bound is split evenly
+        layer = AffineLayer(np.zeros((2, 2)), [0.3, -0.2], unit_box2)
+        out = subdivide_constraints(layer, SubdivisionGrid.uniform(unit_box2, 2))
+        assert out.n_rows == 9
+        xs = rng.uniform(-1, 1, (500, 2))
+        pts = np.hstack([xs, layer.apply(xs)])
+        assert external_membership_many(out, pts).all()
+
 
 class TestCellwise:
     """The cell engine: ``analyze`` with a grid, on one-layer nets whose
