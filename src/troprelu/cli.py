@@ -100,11 +100,11 @@ def _parse_dim_name(name: str, result: AnalysisResult) -> int:
 
 
 def emit_projection_csv(result: AnalysisResult, dims, path) -> None:
-    """Projected generators plus the corners of the enclosing 2-d zone."""
+    """Projected generators (filtered with the run's eps) plus the 2-d zone's corners."""
     d0, d1 = dims
     if min(d0, d1) < 0 or max(d0, d1) >= len(result.var_map) or d0 == d1:
         raise BadIndex("projection needs two distinct tracked dimensions")
-    proj = proj_internal(result.internal, [d0, d1])
+    proj = proj_internal(result.internal, [d0, d1], eps=result._eps)
     sub = result.zone.slice([d0 + 1, d1 + 1])
     corners = _zone2d_corners(sub.entries)
     names = _var_names(result)

@@ -6,8 +6,10 @@ activation is optional).  Each affine layer is abstracted by its tight zone
 image of a closed zone (a tropical polyhedron) is exact.
 
 One loop serves every mode and domain.  It carries a closed zone over the
-inputs, the current layer, and with ``track_all`` every hidden layer.  Per
-layer its domain's step (``_zone_step`` or ``_oct_step``)
+inputs, the current layer, and with ``track_all`` every hidden layer, and
+reads stage bounds off it (``dbm_box``, or ``OctDbm.box``).  Per layer its
+domain's step (``_zone_step`` or ``_oct_step``), which returns the next
+carried matrix and the closed pre-activation zone over (carried, h),
 
 1. meets the carried zone with the layer's tight zone over (current
    layer, h), h the layer's pre-activations;
@@ -38,12 +40,13 @@ The modes differ only in what the loop carries between layers:
 The octagon domain runs in zone mode only; box and external mode run the
 zone chain (``_domain``).  Its carried relation lives in the doubled
 space (+v, -v), which lets sum constraints tighten later layers through
-closure.  The meet is closed through +-current layer and strengthened;
+closure.  The meet is closed through +-current layer and strengthened,
+whose diagonal check is its one emptiness test (``_oct_meet``);
 ``_oct_relu_append`` writes the same exact entries there.  That image and
 the input box's octagon (``_oct_from_box``) are strongly closed as built,
-so the chain runs no closure pass.  A run without a grid keeps one record
-per layer in ``diagnostics["layers"]``: the step's slot counts (``sizes``)
-and its own closed pre-activation zone, over (carried, h).
+so the chain runs no closure pass; the result's zone is the last octagon's
+plus block.  A run without a grid keeps one record per layer in
+``diagnostics["layers"]``: the step's ``sizes`` and pre-activation zone.
 
 ``AnalysisResult.internal`` is the one generator computation: the last
 layer's pre-activation zone as n + 1 points, clamped and projected onto the
@@ -86,6 +89,7 @@ from .dbm import (
     _coherence_min,
     _fill_diagonal,
     _interface_close,
+    _meet,
     _mirror,
     _strengthen,
     _ulp_of_largest,
@@ -228,7 +232,8 @@ def relu_external(
                 row = np.full(1 + dim, BOTTOM)
                 row[list(terms)] = list(terms.values())
                 rows.append(row)
-    return TropExternal(np.vstack(rows_l), np.vstack(rows_r))
+    # a layer of size 0 gives no rows, which np.vstack would not take
+    return TropExternal(np.reshape(rows_l, (-1, 1 + dim)), np.reshape(rows_r, (-1, 1 + dim)))
 
 
 def _relu_append(zone: Dbm, h_vars: list, n_keep: Optional[int] = None) -> Dbm:
@@ -256,10 +261,10 @@ def _relu_append(zone: Dbm, h_vars: list, n_keep: Optional[int] = None) -> Dbm:
     return Dbm(e, closed=True)
 
 
-def _oct_relu_append(o: OctDbm, h_vars: list, eps: float, keep: Optional[list] = None):
+def _oct_relu_append(o: OctDbm, h_vars: list, keep: Optional[list] = None):
     """Append g_i = max(0, h_i) to a strongly closed octagon m (or a stack),
     keeping the variables ``keep`` (default all), then the copies: strongly
-    closed as built after the coherence step (``eps`` is unused).
+    closed as built after the coherence step.
 
     Proof, in exact arithmetic.  Add a zero slot z, D[p, z] = m[p, p̄] / 2
     and D[z, q] = m[q̄, q] / 2: m is strongly closed iff D is closed.  Over
@@ -507,8 +512,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     octagon = domain is AbsDomain.OCTAGON
     var_map = [(0, j) for j in range(net.n_inputs)]
     carried = _oct_from_box(in_box) if octagon else in_box.to_dbm()
-    full = carried.box() if octagon else in_box  # bounds of every carried slot
-    constants, step = (oct_constants, _oct_step) if octagon else (zone_constants, _zone_step)
+    constants, step, read = (oct_constants, _oct_step, OctDbm.box) if octagon else (zone_constants, _zone_step, dbm_box)
+    full = read(carried)  # bounds of every carried slot
     stage_boxes = [in_box]
     records = []
 
@@ -525,8 +530,8 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
         pre = list(range(n_old, n_old + n_new))
         # tracked old slots, a prefix: the inputs, and every hidden stage with track_all
         kept = [i for i, (s, _) in enumerate(var_map) if s == 0 or options.track_all]
-        carried, zone, pre_zone = step(carried, cur, layer, k, act, kept, eps)
-        full = dbm_box(zone)
+        carried, pre_zone = step(carried, cur, layer, k, act, kept, eps)
+        full = read(carried)
         stage_box = Box(full.lo[..., len(kept) :], full.hi[..., len(kept) :])
         stage_boxes.append(stage_box)
         if in_box.lo.ndim == 1:  # a stacked chunk of grid cells keeps no records
@@ -546,7 +551,7 @@ def _analyze_single(net: Network, in_box: Box, options: AnalysisOptions):
     hull = _zone_points(m, np.add(kept + pre, 1), n_new if act else 0) if np.isfinite(m).all() else None
     return AnalysisResult(
         var_map=var_map,
-        zone=zone,
+        zone=_plus_block_dbm(carried) if octagon else carried,
         bounds=stage_boxes,
         n_inputs=net.n_inputs,
         n_outputs=net.n_outputs,
@@ -570,11 +575,11 @@ def _domain(options: AnalysisOptions) -> AbsDomain:
 
 def _zone_step(zone, cur, layer, k, act, kept, eps):
     """``_oct_step`` for the zone chain, whose carried matrix is its zone: the
-    meet (``_layer_zone``), then the ReLU image on the ``kept`` prefix and y."""
+    meet (``_layer_zone``, its one emptiness test), then the ReLU image on kept and y."""
     pre_zone = _layer_zone(zone, cur, layer, k, eps)
     pre = list(range(zone.dim, zone.dim + layer.n_outputs))
     nxt = _relu_append(pre_zone, pre, len(kept)) if act else pre_zone.slice([i + 1 for i in kept + pre])
-    return nxt, nxt, pre_zone
+    return nxt, pre_zone
 
 
 def _layer_zone(zone: Dbm, cur: list, layer: AffineLayer, k: ZoneAbsConstants, eps: float) -> Dbm:
@@ -621,19 +626,18 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     """One layer of the octagon chain in the doubled space, on one octagon
     or a stack, with the layer's octagon constants ``k_oct``: the carried
     octagon met with the layer's, closed through their interface
-    (+-current layer) and strengthened, then the ReLU image on the ``kept``
-    variables.
+    (+-current layer) and strengthened (``_oct_meet``), then the ReLU
+    image on the ``kept`` variables.
 
-    eps is absolute, and at large magnitudes the strengthening's half-sums
-    alone can round a diagonal entry of a nonempty meet below -eps.  So, by
-    ``dbm._interface_close``'s rule, each matrix of a stack whose
-    strengthened meet fails is redone once on the layer octagon widened
-    (soundly) by size ulps of the largest finite entry of either operand;
-    the others keep their bits, and EmptyAbstraction is raised only if a
-    redone meet still fails.
+    eps is absolute, and at large magnitudes rounding alone can take a
+    diagonal entry of a nonempty strengthened meet below -eps.  So, by
+    ``dbm._interface_close``'s rule, each matrix of a stack whose meet
+    fails is redone once on the layer octagon widened (soundly) by size
+    ulps of the largest finite entry of either operand; the others keep
+    their bits, and EmptyAbstraction is raised if a redone meet fails.
 
-    Returns the next octagon over (kept, post or pre), its plus-block zone
-    and the plus-block zone of the (old, pre) space before ReLU.
+    Returns the next octagon over (kept, post or pre) and the plus-block
+    zone of the (old, pre) space before ReLU.
     """
     n_new = layer.n_outputs
     n_old = oct_zone.dim
@@ -649,41 +653,32 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
     back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
     e, low = _oct_meet(a, c, b, back, n_pre, eps)
-    if e is not None and low.any():
+    if low.any():
         wide = b[low] + (2 * n_pre * _ulp_of_largest(a[low], b[low]))[..., None, None]
         _fill_diagonal(wide, 0.0)
-        redo, still = _oct_meet(a[low], c, wide, back, n_pre, eps)
-        if redo is None or still.any():
-            e = None
-        else:
-            e[low] = redo
-    if e is None:
-        raise EmptyAbstraction("octagon chain produced an empty octagon")
+        e[low], still = _oct_meet(a[low], c, wide, back, n_pre, eps)
+        if still.any():
+            raise EmptyAbstraction("octagon chain produced an empty octagon")
     closed = OctDbm(e, closed=True)
     pre = list(range(n_old, n_pre))
-    pre_zone = _plus_block_dbm(closed, list(range(n_pre)))
+    pre_zone = _plus_block_dbm(closed)
     if act:
-        nxt_oct = _oct_relu_append(closed, pre, eps, keep=kept)
-    else:
-        idx = np.asarray(kept + pre + [i + n_pre for i in kept + pre], dtype=int)
-        nxt_oct = OctDbm(closed.entries[..., idx[:, None], idx], closed=True)
-    return nxt_oct, _plus_block_dbm(nxt_oct, list(range(nxt_oct.dim))), pre_zone
+        return _oct_relu_append(closed, pre, keep=kept), pre_zone
+    idx = np.asarray(kept + pre + [i + n_pre for i in kept + pre], dtype=int)
+    return OctDbm(e[..., idx[:, None], idx], closed=True), pre_zone
 
 
 def _oct_meet(a, c, b, back, n, eps):
     """The carried octagon ``a`` (or a stack) met with the layer's ``b``
-    through the interface slots ``c`` (``dbm._interface_close``), put in
-    the doubled order ``back`` over n variables and strengthened: the
-    matrix and the mask of ``dbm._strengthen``, or (None, None) when the
-    meet is empty."""
-    e = _interface_close(a, c, b, eps)
-    if e is None:
-        return None, None
-    return _strengthen(e[..., back[:, None], back], n, eps)
+    through the interface slots ``c`` (``dbm._meet``), put in the doubled
+    order ``back`` over n variables and strengthened: the matrix and the
+    mask of ``dbm._strengthen``, whose diagonal check also sees the meet's
+    own cycles (strengthening only lowers entries)."""
+    return _strengthen(_meet(a, c, b)[..., back[:, None], back], n, eps)
 
 
-def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
-    """Plain zone over selected variables read off a strongly closed octagon
+def _plus_block_dbm(o: OctDbm) -> Dbm:
+    """Plain zone over every variable read off a strongly closed octagon
     (or off each octagon of a stack).
 
     The plus block gives the differences and the halved mirror entries the
@@ -692,10 +687,9 @@ def _plus_block_dbm(o: OctDbm, vars_: list) -> Dbm:
     unary bound by a difference plus another unary bound.
     """
     n = o.dim
-    k = len(vars_)
-    sel = np.asarray(vars_, dtype=int)
-    e = np.empty(o.entries.shape[:-2] + (k + 1, k + 1))
-    e[..., 1:, 1:] = o.entries[..., sel[:, None], sel]
+    sel = np.arange(n)
+    e = np.empty(o.entries.shape[:-2] + (n + 1, n + 1))
+    e[..., 1:, 1:] = o.entries[..., :n, :n]
     e[..., 1:, 0] = o.entries[..., sel, sel + n] / 2.0
     e[..., 0, 1:] = o.entries[..., sel + n, sel] / 2.0
     _fill_diagonal(e, 0.0)

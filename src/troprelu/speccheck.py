@@ -54,9 +54,9 @@ class LinearAssertion:
 
     ``restrict`` narrows the input quantifier domain, one entry per input
     (``check`` raises VariableMismatch otherwise); ``None`` entries leave
-    that input unrestricted.  An interval with lo > hi or a NaN endpoint
-    raises InvalidInterval; one disjoint from the input box makes the
-    assertion vacuous.
+    that input unrestricted.  An entry that is not a pair of real numbers,
+    or has lo > hi or a NaN endpoint, raises InvalidInterval; one disjoint
+    from the input box makes the assertion vacuous.
     """
 
     in_coeffs: np.ndarray
@@ -68,9 +68,14 @@ class LinearAssertion:
     def __post_init__(self):
         object.__setattr__(self, "in_coeffs", np.asarray(self.in_coeffs, dtype=float))
         object.__setattr__(self, "out_coeffs", np.asarray(self.out_coeffs, dtype=float))
+        real = (int, float, np.integer, np.floating)
         for j, iv in enumerate(self.restrict or ()):
-            if iv is not None and not iv[0] <= iv[1]:
-                raise InvalidInterval(f"restriction of input {j + 1} is [{iv[0]}, {iv[1]}]")
+            try:  # a pair of real numbers, lo <= hi and no NaN
+                ok = iv is None or len(iv) == 2 and all(isinstance(v, real) for v in iv) and iv[0] <= iv[1]
+            except (TypeError, KeyError):
+                ok = False
+            if not ok:
+                raise InvalidInterval(f"restriction of input {j + 1} is {iv!r}, not a pair lo <= hi")
 
     def value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)

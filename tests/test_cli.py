@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from troprelu import parse_sherlock, serialize_sherlock, zone_constants
+from troprelu import Network, parse_sherlock, serialize_sherlock, zone_constants
 from troprelu.cli import run_cli
 from troprelu.errors import EmptyFile, MalformedFile
 from troprelu.layers import AffineLayer
@@ -170,6 +170,25 @@ class TestCli:
         lines = csv.read_text().strip().splitlines()
         gens = {tuple(l.split(",")[1:]) for l in lines if l.startswith("generator")}
         assert gens == {("-1", "0"), ("1", "1"), ("1", "0")}
+
+    def test_projection_csv_merges_with_the_runs_eps(self, tmp_path, capsys):
+        # a 2 -> 3 -> 2 net whose (y1, y2) projection keeps (0.48, 0) at the
+        # default eps, a point that eps 0.05 merges into the hull
+        net = Network(
+            ([[-0.2, -1.2], [1.1, 1.3], [-2.0, 0.1]], [[-0.5, -1.8, -0.3], [-0.1, 0.1, -1.2]]),
+            ([-0.1, -1.0, 0.5], [0.6, 0.7]),
+        )
+        (tmp_path / "net.nt").write_text(serialize_sherlock(net))
+        csv = tmp_path / "proj.csv"
+        args = ["--network", str(tmp_path / "net.nt"), "--spec", str(FIXTURES / "bounds_only.spec")]
+        args += ["--subdiv", "x1:2,x2:2", "--csv", f"y1,y2:{csv}"]
+        gens = {}
+        for eps in ("1e-9", "0.05"):
+            assert run_cli(args + ["--eps", eps]) == 0
+            lines = csv.read_text().strip().splitlines()
+            gens[eps] = {tuple(l.split(",")[1:]) for l in lines if l.startswith("generator")}
+        assert gens["0.05"] == {("0", "0"), ("0.6", "0.16"), ("0", "0.84")}
+        assert gens["1e-9"] == gens["0.05"] | {("0.48", "0")}
 
     def test_external_mode_runs(self, capsys):
         rc = run_cli(

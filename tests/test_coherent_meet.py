@@ -310,7 +310,7 @@ class TestCoherentByConstruction:
             layer = AffineLayer(single.weights, single.bias, stack_box(a, n_old, cur))
             kept = sorted(rng.permutation(n_old)[: int(rng.integers(0, n_old + 1))].tolist())
             try:
-                nxt, _, _ = network._oct_step(
+                nxt, _ = network._oct_step(
                     OctDbm(a, closed=True), cur, layer, oct_constants(layer), act, kept, EPS
                 )
             except EmptyAbstraction:

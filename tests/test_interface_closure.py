@@ -29,6 +29,7 @@ from troprelu.dbm import (
     Dbm,
     OctDbm,
     _interface_close,
+    _meet,
     _min_plus,
     dbm_box,
     dbm_close,
@@ -82,7 +83,7 @@ def reference_oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     pre = list(range(n_old, n_pre))
     sel = kept + ([i + n_new for i in pre] if act else pre)
     if act:
-        closed = network._oct_relu_append(closed, pre, eps)
+        closed = network._oct_relu_append(closed, pre)
     idx = np.asarray(sel + [i + closed.dim for i in sel], dtype=int)
     return closed.entries[np.ix_(idx, idx)]
 
@@ -231,10 +232,10 @@ class TestOctagonMeet:
         o = draw_octagon(rng, "uniform", 3)
         full = o.box()
         layer = draw_layer(rng, "uniform", Box(full.lo[[0, 2]], full.hi[[0, 2]]))
-        meet, _, pre_zone = network._oct_step(
+        meet, pre_zone = network._oct_step(
             o, [0, 2], layer, oct_constants(layer), False, [0, 1, 2], EPS
         )
-        plus = network._plus_block_dbm(meet, list(range(meet.dim)))
+        plus = network._plus_block_dbm(meet)
         assert np.array_equal(pre_zone.entries, plus.entries)
 
 
@@ -249,11 +250,11 @@ class TestKeptSlotRelu:
         order = rng.permutation(n + r)
         h_vars = order[:r].tolist()
         keep = sorted(order[r : r + int(rng.integers(0, n + 1))].tolist())
-        full = network._oct_relu_append(base, h_vars, EPS)
+        full = network._oct_relu_append(base, h_vars)
         vars_ = keep + list(range(n + r, n + 2 * r))
         slots = np.asarray(vars_ + [v + full.dim for v in vars_], dtype=int)
         want = full.entries[np.ix_(slots, slots)]
-        got = network._oct_relu_append(base, h_vars, EPS, keep=keep).entries
+        got = network._oct_relu_append(base, h_vars, keep=keep).entries
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -301,7 +302,13 @@ class TestStepSizes:
             seen.append(("meet", e.shape[0], len(c)))
             return e
 
+        def meet(a, c, b):  # the octagon meet, which strengthening closes
+            e = _meet(a, c, b)
+            seen.append(("meet", e.shape[0], len(c)))
+            return e
+
         monkeypatch.setattr(network, "_interface_close", interface)
+        monkeypatch.setattr(network, "_meet", meet)
         return seen
 
     @pytest.mark.parametrize("track_all", [False, True])

@@ -218,7 +218,7 @@ class TestKeptSlotBuild:
         order = rng.permutation(n + r)
         h_vars = order[:r].tolist()
         keep = sorted(order[r : r + int(rng.integers(0, n + 1))].tolist())
-        out = network._oct_relu_append(base, h_vars, 1e-9, keep=keep).entries
+        out = network._oct_relu_append(base, h_vars, keep=keep).entries
         (got,) = relu_calls
         full = _pair_block_loop(base, h_vars)
         vars_ = keep + list(range(n + r, n + 2 * r))

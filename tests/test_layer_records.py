@@ -36,7 +36,7 @@ def spies(monkeypatch):
     def recording(step):
         def record(*args):
             out = step(*args)
-            pre_zones.append(out[2])
+            pre_zones.append(out[-1])
             return out
 
         return record

@@ -86,7 +86,7 @@ def pre_zones(monkeypatch):
 
     def record_oct_step(*args):
         out = oct_step(*args)
-        zones.append(out[2])
+        zones.append(out[-1])
         return out
 
     monkeypatch.setattr(network, "_layer_zone", record_layer_zone)

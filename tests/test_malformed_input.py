@@ -4,7 +4,8 @@ Options of the wrong type, grid cell counts that are not integers and
 weights that are not matrices raise InvalidDomain or DimensionMismatch
 there, not an AttributeError, TypeError or ValueError inside ``analyze``;
 a fractional count is not truncated.  Integer counts, Python or numpy,
-are accepted, and strings are not read as numbers.
+are accepted, and strings are not read as numbers.  A restriction entry of a ``LinearAssertion`` that is not a pair of numbers
+raises InvalidInterval, as an inverted one does.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from troprelu import AnalysisOptions, Box, Network, SubdivisionGrid, analyze
-from troprelu.errors import DimensionMismatch, InvalidDomain
+from troprelu import AnalysisOptions, Box, LinearAssertion, Network, SubdivisionGrid, analyze, check
+from troprelu.errors import DimensionMismatch, InvalidDomain, InvalidInterval
 
 
 @pytest.mark.parametrize(
@@ -57,3 +58,16 @@ def test_matrices_still_analyse(unit_box2):
     net = Network(([1.0, -1.0],), ([0.5],))
     assert net.weights[0].shape == (1, 2)
     assert analyze(net, unit_box2).bounds[-1].hi[0] == 2.5
+
+
+@pytest.mark.parametrize("entry", [(0.0,), 0.5, (0.0, "a"), (0.0, 0.5, 1.0), "01", (0.0, None)])
+def test_restriction_entries_that_are_not_pairs_of_numbers(entry):
+    with pytest.raises(InvalidInterval, match="input 2"):
+        LinearAssertion([0, 0], [1, 0], 0.0, (None, entry))
+
+
+@pytest.mark.parametrize("entry", [(0, 1), [np.float64(-0.5), np.int64(1)], np.array([0.0, 0.5])])
+def test_restriction_pairs_of_numbers(entry, running_net, unit_box2):
+    a = LinearAssertion([0, 0], [1, 0], 0.0, (entry, None))
+    assert a.restriction_box(unit_box2).lo[0] == max(-1.0, entry[0])
+    assert np.isfinite(check(a, analyze(running_net, unit_box2)).minimum)

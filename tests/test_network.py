@@ -103,6 +103,10 @@ class TestReluExternal:
         assert external_membership_many(ext, good).all()
         assert not external_membership_many(ext, bad).any()
 
+    def test_no_pairs_tie_nothing(self):
+        ext = relu_external(TropExternal.empty(3), [], [], Box(np.zeros(0), np.zeros(0)))
+        assert ext.lhs.shape == ext.rhs.shape == (0, 4)
+
     def test_running_layer_matches_exact_semantics(self, rng, running_layer):
         from troprelu import zone_constants
 
@@ -209,6 +213,42 @@ class TestEndToEndSoundness:
             cols[("post", i + 1)] = v
         full = np.column_stack([cols[(k[0], k[1])][:, k[2]] for k in emap])
         assert external_membership_many(ext, full, eps=1e-6).all()
+
+
+@pytest.mark.parametrize(
+    "weights, biases, n_in",
+    [
+        ((np.zeros((0, 2)), np.zeros((1, 0))), (np.zeros(0), [0.5]), 2),  # hidden layer
+        ((np.zeros((2, 0)),), (np.ones(2),), 0),  # input layer
+        ((np.ones((2, 2)), np.zeros((0, 2))), (np.zeros(2), np.zeros(0)), 2),  # output layer
+    ],
+    ids=["hidden", "input", "output"],
+)
+@pytest.mark.parametrize(
+    "opts",
+    [
+        AnalysisOptions(),
+        AnalysisOptions(domain=AbsDomain.OCTAGON),
+        AnalysisOptions(mode=ChainMode.BOX),
+        AnalysisOptions(mode=ChainMode.EXTERNAL),
+    ],
+    ids=["zone", "octagon", "box", "external"],
+)
+def test_layers_of_size_zero_analyse(weights, biases, n_in, opts, rng):
+    # a stage of size 0 feeds the next layer only its biases; in external
+    # mode its ReLU adds no rows
+    net = Network(weights, biases)
+    box = Box(-np.ones(n_in), np.ones(n_in))
+    res = analyze(net, box, opts)
+    assert np.array_equal(res.bounds[-1].lo, biases[-1])
+    assert np.array_equal(res.bounds[-1].hi, biases[-1])
+    if opts.mode is ChainMode.EXTERNAL:
+        stages = net.trace(box.sample(rng, 50))
+        emap = res.diagnostics["external_map"]
+        pre = [s @ w.T + b for s, w, b in zip(stages, net.weights, net.biases)]
+        cols = {"x": stages, "pre": [None] + pre, "post": stages}
+        full = np.column_stack([cols[kind][li][:, j] for kind, li, j in emap] or [np.zeros((50, 0))])
+        assert external_membership_many(res.diagnostics["external"], full, eps=1e-9).all()
 
 
 class TestReluExactness:

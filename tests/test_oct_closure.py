@@ -272,7 +272,7 @@ class TestDeepChain:
         base = oct_close(OctDbm(random_octagon(rng, n + r, drop=0.0, integer=integer)))
         # r of the variables, in shuffled order, stand for pre-activations
         h_vars = rng.permutation(n + r)[:r].tolist()
-        out = network._oct_relu_append(base, h_vars, 1e-9).entries
+        out = network._oct_relu_append(base, h_vars).entries
         (got,) = coherence_calls
         want = _pair_block_loop(base, h_vars)
         assert np.array_equal(got, want)

@@ -27,7 +27,6 @@ from troprelu.network import AbsDomain, AnalysisOptions, Network, analyze
 from test_oct_closure import assert_strongly_closed, random_octagon
 from test_stacked_cells import same_bits
 
-EPS = 1e-9
 SEEDS = range(30)
 
 
@@ -49,7 +48,7 @@ class TestExactOnIntegers:
     def test_equals_its_full_closure(self, seed, drop):
         rng = np.random.default_rng(500 + seed)
         base, h_vars, keep = draw_transfer(rng, integer=True, drop=drop)
-        image = network._oct_relu_append(base, h_vars, EPS, keep=keep)
+        image = network._oct_relu_append(base, h_vars, keep=keep)
         closed = oct_close(OctDbm(image.entries.copy()))
         assert isinstance(closed, OctDbm)
         assert np.array_equal(closed.entries, image.entries)
@@ -65,9 +64,9 @@ class TestExactOnIntegers:
         h_vars = order[:r].tolist()
         keep = sorted(order[r : r + int(rng.integers(0, n + 1))].tolist())
         stack = OctDbm(np.stack([c.entries for c in cells]))
-        got = network._oct_relu_append(stack, h_vars, EPS, keep=keep).entries
+        got = network._oct_relu_append(stack, h_vars, keep=keep).entries
         for i, cell in enumerate(cells):
-            assert same_bits(got[i], network._oct_relu_append(cell, h_vars, EPS, keep=keep).entries)
+            assert same_bits(got[i], network._oct_relu_append(cell, h_vars, keep=keep).entries)
 
 
 class TestFloat:
@@ -76,7 +75,7 @@ class TestFloat:
     def test_strongly_closed_to_rounding(self, seed, drop):
         rng = np.random.default_rng(700 + seed)
         base, h_vars, keep = draw_transfer(rng, integer=False, drop=drop)
-        image = network._oct_relu_append(base, h_vars, EPS, keep=keep)
+        image = network._oct_relu_append(base, h_vars, keep=keep)
         closed = oct_close(OctDbm(image.entries.copy()))
         assert isinstance(closed, OctDbm)
         got, want = image.entries, closed.entries
