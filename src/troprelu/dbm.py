@@ -445,9 +445,11 @@ def _mirror(n: int) -> np.ndarray:
 
 
 def _coherence_min(m: np.ndarray, n: int) -> np.ndarray:
-    # entries[p, q] and entries[mirror(q), mirror(p)] encode the same fact
-    perm = _mirror(n)
-    return np.minimum(m, m[..., perm[:, None], perm].swapaxes(-2, -1))
+    # entries[p, q] and entries[q̄, p̄] encode the same fact; the mirror is
+    # a view (``_mirrored``) of the 2n x 2n matrix, so nothing is gathered
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    np.minimum(_halves(m), _mirrored(m), out=_halves(out))
+    return out
 
 
 def oct_close(o: OctDbm, eps: float = DEFAULT_EPS) -> Union[OctDbm, _EmptyZone]:
@@ -493,20 +495,58 @@ def _strengthen(m: np.ndarray, n: int, eps: float):
 def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Min-plus product out[..., i, j] = min_k (p[..., i, k] + q[..., k, j]),
     +inf when k is empty, for one matrix pair or a stack of pairs (the same
-    leading axes on both).  Blocks of rows, of whole cells when a cell's
-    rows fit, keep each (cells, rows, k, j) temporary within 2^18 floats."""
+    leading axes on both).
+
+    Layout: the inner index k is the outer axis of two (k, cells, rows, j)
+    buffers.  ``tiles`` holds q's rows, each repeated over the block's
+    rows, filled once per block of cells; for each block of rows ``sums``
+    takes p's entries broadcast over j, adds ``tiles`` in one contiguous
+    add and is reduced over axis 0 straight into the output.  A reduction
+    over the outer axis is an elementwise min of contiguous slabs, where
+    a min over a middle axis runs in strided pieces j long.
+
+    Budget: a block is whole cells when a cell's k * r * j floats fit in
+    2^15 (256 KiB, so both buffers stay in cache), else rows of one cell,
+    and at least one row.  A product that fits one block (the factored
+    meet's row and column products, a grid's small stacks) runs as that
+    block, without the loop.
+
+    Bits: each sum is the float p + q (addition commutes) and the
+    reduction takes the min over k in order, so the result is that of the
+    one broadcast sum reduced over k, but for the sign of a zero where
+    +0.0 and -0.0 tie, which depends on the order a reduction visits
+    them in."""
     batch = p.shape[:-2]
     n = math.prod(batch)
     r, k, j = p.shape[-2], p.shape[-1], q.shape[-1]
-    p3 = p.reshape((n, r, k))
-    q3 = q.reshape((n, k, j))
     out = np.empty((n, r, j))
-    rows = max(1, (1 << 18) // max(k * j, 1))
-    cells = max(1, rows // max(r, 1))
+    if not (k and out.size):
+        out.fill(INF)
+        return out.reshape(batch + (r, j))
+    pk = p.reshape((n, r, k, 1)).transpose(2, 0, 1, 3)  # (k, n, r, 1)
+    qk = q.reshape((n, k, 1, j)).transpose(1, 0, 2, 3)  # (k, n, 1, j)
+    budget = 1 << 15
+    rows = min(r, max(1, budget // (k * j)))
+    cells = min(n, max(1, budget // (k * r * j))) if rows == r else 1
+    tiles = np.empty((k, cells, rows, j))
+    sums = np.empty((k, cells, rows, j))
+    if cells == n and rows == r:
+        # one block, unsliced: the loop's slicing costs a thin product more than its sums
+        tiles[...] = qk
+        sums[...] = pk
+        np.add(sums, tiles, out=sums)
+        np.minimum.reduce(sums, axis=0, out=out)
+        return out.reshape(batch + (r, j))
     for c0 in range(0, n, cells):
+        c1 = min(c0 + cells, n)
+        tile = tiles[:, : c1 - c0]
+        tile[...] = qk[:, c0:c1]
         for r0 in range(0, r, rows):
-            block = p3[c0 : c0 + cells, r0 : r0 + rows, :, None] + q3[c0 : c0 + cells, None]
-            out[c0 : c0 + cells, r0 : r0 + rows] = block.min(axis=2, initial=INF)
+            r1 = min(r0 + rows, r)
+            block = sums[:, : c1 - c0, : r1 - r0]
+            block[...] = pk[:, c0:c1, r0:r1]
+            np.add(block, tile[:, :, : r1 - r0], out=block)
+            np.minimum.reduce(block, axis=0, out=out[c0:c1, r0:r1])
     return out.reshape(batch + (r, j))
 
 

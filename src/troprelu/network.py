@@ -671,10 +671,11 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
 def _oct_meet(a, c, b, back, n, eps):
     """The carried octagon ``a`` (or a stack) met with the layer's ``b``
     through the interface slots ``c`` (``dbm._meet``), put in the doubled
-    order ``back`` over n variables and strengthened: the matrix and the
-    mask of ``dbm._strengthen``, whose diagonal check also sees the meet's
-    own cycles (strengthening only lowers entries)."""
-    return _strengthen(_meet(a, c, b)[..., back[:, None], back], n, eps)
+    order ``back`` over n variables (a row take, then a column take: two
+    plain copies, cheaper than one 2-D gather) and strengthened: the
+    matrix and the mask of ``dbm._strengthen``, whose diagonal check also
+    sees the meet's own cycles (strengthening only lowers entries)."""
+    return _strengthen(_meet(a, c, b).take(back, axis=-2).take(back, axis=-1), n, eps)
 
 
 def _plus_block_dbm(o: OctDbm) -> Dbm:

@@ -26,10 +26,14 @@ is on the analysis path, so they live beside the tests.
 * ``oct_entries_explicit``: every block of the layer octagon written out
   from the constants.  ``layers._oct_entries`` takes its difference blocks
   from ``zone_dbm``, and must match this bit for bit.
+* ``reference_min_plus``: the min-plus product as one broadcast sum per
+  block of rows, reduced over its middle axis.  ``dbm._min_plus`` computes
+  the same floats in cache-sized blocks with the inner index outermost.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -210,3 +214,23 @@ def oct_entries_explicit(k: OctAbsConstants, layer: AffineLayer, interface: bool
     e[..., mx, py] = 0.0 - ((lo[..., :, None] + z.out_lo[..., None, :]) + k.sum_slack.swapaxes(-2, -1))
     _fill_diagonal(e, 0.0)
     return e
+
+
+def reference_min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Min-plus product out[..., i, j] = min_k (p[..., i, k] + q[..., k, j]),
+    +inf when k is empty, for one matrix pair or a stack of pairs (the same
+    leading axes on both).  Blocks of rows, of whole cells when a cell's
+    rows fit, keep each (cells, rows, k, j) temporary within 2^18 floats."""
+    batch = p.shape[:-2]
+    n = math.prod(batch)
+    r, k, j = p.shape[-2], p.shape[-1], q.shape[-1]
+    p3 = p.reshape((n, r, k))
+    q3 = q.reshape((n, k, j))
+    out = np.empty((n, r, j))
+    rows = max(1, (1 << 18) // max(k * j, 1))
+    cells = max(1, rows // max(r, 1))
+    for c0 in range(0, n, cells):
+        for r0 in range(0, r, rows):
+            block = p3[c0 : c0 + cells, r0 : r0 + rows, :, None] + q3[c0 : c0 + cells, None]
+            out[c0 : c0 + cells, r0 : r0 + rows] = block.min(axis=2, initial=INF)
+    return out.reshape(batch + (r, j))
