@@ -41,7 +41,7 @@ from .network import (
 from .sherlock import parse_sherlock
 from .speccheck import LinearAssertion, check
 from .subdivision import SubdivisionGrid, check_cell_budget
-from .tropical import proj_internal
+from .tropical import _zone_points, proj_internal
 
 
 def _interval(iv):
@@ -100,49 +100,36 @@ def _parse_dim_name(name: str, result: AnalysisResult) -> int:
 
 
 def emit_projection_csv(result: AnalysisResult, dims, path) -> None:
-    """Projected generators (filtered with the run's eps) plus the 2-d zone's corners."""
+    """Projected generators (filtered with the run's eps) plus the 2-d
+    zone's corners, its max-plus and min-plus extreme points."""
     d0, d1 = dims
     if min(d0, d1) < 0 or max(d0, d1) >= len(result.var_map) or d0 == d1:
         raise BadIndex("projection needs two distinct tracked dimensions")
     proj = proj_internal(result.internal, [d0, d1], eps=result._eps)
     sub = result.zone.slice([d0 + 1, d1 + 1])
-    corners = _zone2d_corners(sub.entries)
+    corners = _zone2d_corners(sub.entries, result._eps)
     names = _var_names(result)
     lines = [f"kind,{names[d0]},{names[d1]}"]
     for g in proj.generators:
         lines.append(f"generator,{g[0] + 0.0:.12g},{g[1] + 0.0:.12g}")
     for u, v in corners:
-        lines.append(f"zone_corner,{u + 0.0:.12g},{v + 0.0:.12g}")
+        lines.append(f"zone_corner,{u:.12g},{v:.12g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _zone2d_corners(e: np.ndarray):
-    """Vertices of {lo <= (u,v) <= hi, u-v <= c, v-u <= d}, counterclockwise."""
-    u_lo, u_hi = -e[0, 1], e[1, 0]
-    v_lo, v_hi = -e[0, 2], e[2, 0]
-    duv, dvu = e[1, 2], e[2, 1]
-    cand = [
-        (u_lo, max(v_lo, u_lo - duv)),
-        (min(u_hi, v_lo + duv), v_lo),
-        (u_hi, max(v_lo, u_hi - duv)),
-        (u_hi, min(v_hi, u_hi + dvu)),
-        (min(u_hi, v_hi + duv), v_hi),
-        (u_lo, min(v_hi, u_lo + dvu)),
-        (max(u_lo, v_lo - dvu), v_lo),
-        (max(u_lo, v_hi - dvu), v_hi),
-    ]
+def _zone2d_corners(e: np.ndarray, eps: float):
+    """Vertices of the closed zone e over (u, v), counterclockwise: its
+    three max-plus and three min-plus extreme points (the points of e and
+    the negated points of its transpose, ``tropical._zone_points``), which
+    closure puts inside it, each kept unless within eps (relative to
+    magnitude) of one kept before."""
+    six = np.vstack([_zone_points(e, [1, 2])[0], -_zone_points(e.T, [1, 2])[0]]) + 0.0  # no -0.0
     out = []
-    for p in cand:
-        if (
-            u_lo - 1e-9 <= p[0] <= u_hi + 1e-9
-            and v_lo - 1e-9 <= p[1] <= v_hi + 1e-9
-            and p[0] - p[1] <= duv + 1e-9
-            and p[1] - p[0] <= dvu + 1e-9
-            and not any(abs(p[0] - q[0]) < 1e-9 and abs(p[1] - q[1]) < 1e-9 for q in out)
-        ):
+    for p in six:
+        if not any((np.abs(p - q) <= eps * (1.0 + np.maximum(np.abs(p), np.abs(q)))).all() for q in out):
             out.append(p)
-    center = (sum(p[0] for p in out) / len(out), sum(p[1] for p in out) / len(out))
+    center = np.mean(out, axis=0)
     out.sort(key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
     return out
 

@@ -39,6 +39,21 @@ close the meet.  ``dbm_close`` closes everything else; ``oct_close``, the
 strong closure of any octagon matrix, is the tests' reference, since the
 octagon chain builds its matrices strongly closed and runs no closure pass.
 
+One rounding rule serves every closure here and the octagon chain's meet
+(``network._oct_step``), in ``_widen_and_redo``.  eps is absolute, and
+rounding alone can leave a cycle of a nonempty matrix a few ulps of its
+largest entry below 0 (one ulp of 1e7 is 1.9e-9, more than the default
+eps).  So a matrix whose diagonal falls low is redone once on operands
+widened (soundly) by size ulps of the largest finite entry of its
+operands, more than rounding can take off a cycle, and a cycle still
+below -eps is real: the matrix is empty.  The other matrices of a stack
+keep their bits.  Each closure says what "low" is and which operands
+widen: Floyd-Warshall (``_shortest_paths``) and the box meet
+(``_box_meet_close``) redo a diagonal below 0, since their passes double
+a negative cycle, and widen every operand; the layer meets
+(``_interface_close``, and the octagon's, whose strengthening flags it)
+redo a diagonal below -eps and widen only the layer's matrix.
+
 A ``Box``, a ``Dbm`` and an ``OctDbm`` may carry leading axes, one box
 or matrix per grid cell: lo and hi of shape (C, n), entries of shape
 (C, n+1, n+1) or (C, 2n, 2n).  The layer loop analyses a grid in that
@@ -215,27 +230,20 @@ def _shortest_paths(entries: np.ndarray, eps: float):
     """Floyd-Warshall on a copy of ``entries`` with its diagonal clamped to
     <= 0.  Returns the closed matrix and whether a cycle weighs less than
     -eps (it is then empty); on a stack, each matrix is closed alone and
-    the flag is a mask.
-
-    On a flat set (a point box, a dead unit) rounding leaves zero-weight
-    cycles a few ulps negative, and the pass doubles that at every pivot.
-    So a matrix whose pass ends with a negative diagonal is redone on its
-    entries widened (soundly) by size ulps of its largest one, more than
-    rounding can take off a path; a cycle still below -eps is real.
+    the flag is a mask.  On a flat set (a point box, a dead unit) rounding
+    leaves zero-weight cycles a few ulps negative and the pass doubles that
+    at every pivot, so a pass that ends with a diagonal below 0 is redone
+    by the rounding rule (module docstring) on widened entries.
     """
 
-    def start(e: np.ndarray, slack=None) -> np.ndarray:
-        m = e.copy() if slack is None else e + slack[..., None, None]
+    def close(e: np.ndarray):
+        m = e.copy()
         _fill_diagonal(m, np.minimum(_diagonal(m), 0.0))
-        return m
+        _floyd_warshall(m)
+        return m, (_diagonal(m) < 0.0).any(axis=-1)
 
-    m = _floyd_warshall(start(entries))
-    redo = (_diagonal(m) < 0.0).any(axis=-1)
-    if not redo.any():
-        return m, redo
-    e = entries[redo]
-    m[redo] = _floyd_warshall(start(e, e.shape[-1] * _ulp_of_largest(e)))
-    return m, redo & (_diagonal(m) < -eps).any(axis=-1)
+    m, low = _widen_and_redo(close, (entries,), (0,))
+    return m, low & (_diagonal(m) < -eps).any(axis=-1)
 
 
 def _box_meet_close(z: np.ndarray, slots: Sequence[int], lo: np.ndarray, hi: np.ndarray, eps: float):
@@ -271,44 +279,57 @@ def _box_meet_close(z: np.ndarray, slots: Sequence[int], lo: np.ndarray, hi: np.
     integer entries, where E is Floyd-Warshall's result bit for bit.  With
     L the largest finite |entry|, col and row are each within one ulp of L
     of their paths and their sum within two more, so rounding takes at most
-    four ulps of L off a cycle.  By ``_shortest_paths``' rule a matrix whose
-    diagonal falls below 0 is redone once on z, hi and -lo widened (soundly)
-    by size ulps of L: both the head and the tail of every cycle then gain
-    at least that much, 2 * size >= 4 ulps, and a cycle still below -eps is
-    empty.  So rounding alone, at any magnitude, never makes a nonempty
-    meet look empty, and a check never skips it as vacuous.  The other
-    matrices of a stack keep their bits.
+    four ulps of L off a cycle.  A meet whose diagonal falls below 0 is
+    redone by the rounding rule on z, hi and -lo: both the head and the
+    tail of every cycle then gain at least size ulps of L, 2 * size >= 4,
+    so rounding alone, at any magnitude, never makes a nonempty meet look
+    empty, and a check never skips it as vacuous.
     """
     idx = np.asarray([0, *slots], dtype=int)
-    zero = np.zeros(np.shape(lo)[:-1] + (1,))
-    to0 = np.concatenate([zero, hi], axis=-1)  # r[k, 0] over k in idx
-    from0 = np.concatenate([zero, np.negative(lo)], axis=-1)  # r[0, k]
 
-    def close(z, to0, from0):
+    def close(z, hi, neg_lo):
+        zero = np.zeros(hi.shape[:-1] + (1,))
+        to0 = np.concatenate([zero, hi], axis=-1)  # r[k, 0] over k in idx
+        from0 = np.concatenate([zero, neg_lo], axis=-1)  # r[0, k]
         col = (z[..., :, idx] + to0[..., None, :]).min(axis=-1)
         row = (from0[..., :, None] + z[..., idx, :]).min(axis=-2)
-        return np.minimum(z, col[..., :, None] + row[..., None, :])
+        m = np.minimum(z, col[..., :, None] + row[..., None, :])
+        return m, (_diagonal(m) < 0.0).any(axis=-1)
 
-    m = close(z, to0, from0)
-    redo = (_diagonal(m) < 0.0).any(axis=-1)
-    if redo.any():
-        e, t, f = z[redo], to0[redo], from0[redo]
-        slack = e.shape[-1] * _ulp_of_largest(e, t[..., None], f[..., None])
-        e = e + slack[..., None, None]
-        _fill_diagonal(e, 0.0)
-        t, f = t + slack[..., None], f + slack[..., None]
-        t[..., 0] = f[..., 0] = 0.0
-        m[redo] = close(e, t, f)
-        redo &= (_diagonal(m) < -eps).any(axis=-1)
+    m, low = _widen_and_redo(close, (z, np.asarray(hi), np.negative(lo)), (0, 1, 2))
+    low &= (_diagonal(m) < -eps).any(axis=-1)
     _fill_diagonal(m, 0.0)
-    return m, redo
+    return m, low
+
+
+def _widen_and_redo(close, operands: tuple, widen: Sequence[int]):
+    """``close(*operands)``, which returns a matrix or a stack and the mask
+    of those whose diagonal fell low, with each flagged matrix redone once
+    by the rounding rule (module docstring): its operands at positions
+    ``widen`` gain size ulps of the largest finite |entry| of all its
+    operands, a matrix's diagonal no further than 0.  The other matrices
+    keep their bits.  Returns the matrix and the mask of the redone
+    matrices that are still low."""
+    m, low = close(*operands)
+    if not low.any():
+        return m, low
+    ops = [x[low] for x in operands]
+    slack = m.shape[-1] * _ulp_of_largest(*ops)
+    for i in widen:
+        ops[i] = ops[i] + slack.reshape((-1,) + (1,) * (ops[i].ndim - 1))
+        if ops[i].ndim == 3:  # an entry x_v - x_v <= d with d > 0 bounds nothing
+            _fill_diagonal(ops[i], np.minimum(_diagonal(ops[i]), 0.0))
+    still = np.zeros_like(low)
+    m[low], still[low] = close(*ops)
+    return m, still
 
 
 def _ulp_of_largest(*parts: np.ndarray) -> np.ndarray:
-    """Spacing of the largest finite |entry| of each matrix of a stack,
-    over all the given stacks (one ulp of 0 if none is finite)."""
-    finite = [np.where(np.isfinite(e), np.abs(e), 0.0) for e in parts]
-    return np.spacing(np.maximum.reduce([f.max(axis=(-2, -1), initial=0.0) for f in finite]))
+    """Spacing of the largest finite |entry| of each item of a stack (its
+    first axis), over all the given stacks (one ulp of 0 if none is
+    finite)."""
+    finite = [np.where(np.isfinite(e), np.abs(e), 0.0).reshape(len(e), -1) for e in parts]
+    return np.spacing(np.maximum.reduce([f.max(axis=1, initial=0.0) for f in finite]))
 
 
 def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
@@ -593,23 +614,19 @@ def _interface_close(
     product's floats and the meet takes two dense products, not three.
 
     Returns None if a cycle through Y weighs less than -eps (in any pair of
-    a stack); a diagonal entry within eps of 0 is set to 0.  eps is
-    absolute, and rounding alone can take more than eps off a cycle at
-    large magnitudes (one ulp of 1e7 is 1.9e-9).  So, by ``_shortest_paths``'
-    rule, a matrix whose Y diagonal falls below -eps is redone once on b
-    widened (soundly) by size ulps of the largest finite entry of either
-    operand; the others keep their bits, and a cycle still below -eps is
-    empty.
+    a stack); a diagonal entry within eps of 0 is set to 0.  A meet whose Y
+    diagonal falls below -eps is redone by the rounding rule (module
+    docstring) on b widened, and only a cycle still below -eps is empty.
     """
     p = a.shape[-1]
-    e = _meet(a, c, b)
-    low = (_diagonal(e[..., p:, p:]) < -eps).any(axis=-1)
-    if low.any():
-        wide = b[low] + (e.shape[-1] * _ulp_of_largest(a[low], b[low]))[..., None, None]
-        _fill_diagonal(wide, 0.0)
-        e[low] = _meet(a[low], c, wide)
-        if (_diagonal(e[..., p:, p:]) < -eps).any():
-            return None
+
+    def close(a, b):
+        e = _meet(a, c, b)
+        return e, (_diagonal(e[..., p:, p:]) < -eps).any(axis=-1)
+
+    e, still = _widen_and_redo(close, (a, b), (1,))
+    if still.any():
+        return None
     _fill_diagonal(e[..., p:, p:], 0.0)
     return e
 

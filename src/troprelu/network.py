@@ -92,7 +92,7 @@ from .dbm import (
     _meet,
     _mirror,
     _strengthen,
-    _ulp_of_largest,
+    _widen_and_redo,
     dbm_box,
     dbm_close,  # not called here; benchmarks/test_bench.py checks that tracing wraps this binding
 )
@@ -627,14 +627,9 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     or a stack, with the layer's octagon constants ``k_oct``: the carried
     octagon met with the layer's, closed through their interface
     (+-current layer) and strengthened (``_oct_meet``), then the ReLU
-    image on the ``kept`` variables.
-
-    eps is absolute, and at large magnitudes rounding alone can take a
-    diagonal entry of a nonempty strengthened meet below -eps.  So, by
-    ``dbm._interface_close``'s rule, each matrix of a stack whose meet
-    fails is redone once on the layer octagon widened (soundly) by size
-    ulps of the largest finite entry of either operand; the others keep
-    their bits, and EmptyAbstraction is raised if a redone meet fails.
+    image on the ``kept`` variables.  A meet that strengthening flags is
+    redone by ``dbm``'s rounding rule on the layer octagon widened, and
+    EmptyAbstraction is raised if a redone meet still fails.
 
     Returns the next octagon over (kept, post or pre) and the plus-block
     zone of the (old, pre) space before ReLU.
@@ -652,13 +647,9 @@ def _oct_step(oct_zone, cur, layer, k_oct, act, kept, eps):
     old_minus = np.arange(n_old, 2 * n_old)
     h_plus = np.arange(2 * n_old, 2 * n_old + n_new)
     back = np.concatenate([np.arange(n_old), h_plus, old_minus, h_plus + n_new])
-    e, low = _oct_meet(a, c, b, back, n_pre, eps)
-    if low.any():
-        wide = b[low] + (2 * n_pre * _ulp_of_largest(a[low], b[low]))[..., None, None]
-        _fill_diagonal(wide, 0.0)
-        e[low], still = _oct_meet(a[low], c, wide, back, n_pre, eps)
-        if still.any():
-            raise EmptyAbstraction("octagon chain produced an empty octagon")
+    e, still = _widen_and_redo(lambda a, b: _oct_meet(a, c, b, back, n_pre, eps), (a, b), (1,))
+    if still.any():
+        raise EmptyAbstraction("octagon chain produced an empty octagon")
     closed = OctDbm(e, closed=True)
     pre = list(range(n_old, n_pre))
     pre_zone = _plus_block_dbm(closed)

@@ -29,6 +29,10 @@ is on the analysis path, so they live beside the tests.
 * ``reference_min_plus``: the min-plus product as one broadcast sum per
   block of rows, reduced over its middle axis.  ``dbm._min_plus`` computes
   the same floats in cache-sized blocks with the inner index outermost.
+* ``reference_zone2d_corners``: a 2-d zone's vertices from eight clamped
+  candidates, filtered with absolute 1e-9 tests, which hold only at
+  ordinary magnitudes.  ``cli._zone2d_corners`` takes the zone's max-plus
+  and min-plus extreme points instead.
 """
 
 from __future__ import annotations
@@ -234,3 +238,33 @@ def reference_min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             block = p3[c0 : c0 + cells, r0 : r0 + rows, :, None] + q3[c0 : c0 + cells, None]
             out[c0 : c0 + cells, r0 : r0 + rows] = block.min(axis=2, initial=INF)
     return out.reshape(batch + (r, j))
+
+
+def reference_zone2d_corners(e: np.ndarray):
+    """Vertices of {lo <= (u,v) <= hi, u-v <= c, v-u <= d}, counterclockwise."""
+    u_lo, u_hi = -e[0, 1], e[1, 0]
+    v_lo, v_hi = -e[0, 2], e[2, 0]
+    duv, dvu = e[1, 2], e[2, 1]
+    cand = [
+        (u_lo, max(v_lo, u_lo - duv)),
+        (min(u_hi, v_lo + duv), v_lo),
+        (u_hi, max(v_lo, u_hi - duv)),
+        (u_hi, min(v_hi, u_hi + dvu)),
+        (min(u_hi, v_hi + duv), v_hi),
+        (u_lo, min(v_hi, u_lo + dvu)),
+        (max(u_lo, v_lo - dvu), v_lo),
+        (max(u_lo, v_hi - dvu), v_hi),
+    ]
+    out = []
+    for p in cand:
+        if (
+            u_lo - 1e-9 <= p[0] <= u_hi + 1e-9
+            and v_lo - 1e-9 <= p[1] <= v_hi + 1e-9
+            and p[0] - p[1] <= duv + 1e-9
+            and p[1] - p[0] <= dvu + 1e-9
+            and not any(abs(p[0] - q[0]) < 1e-9 and abs(p[1] - q[1]) < 1e-9 for q in out)
+        ):
+            out.append(p)
+    center = (sum(p[0] for p in out) / len(out), sum(p[1] for p in out) / len(out))
+    out.sort(key=lambda p: np.arctan2(p[1] - center[1], p[0] - center[0]))
+    return out
