@@ -32,10 +32,14 @@ taking its product.  That is exact: each term b[y, c] + e[c, x] of the
 dropped product is the term e[x̄, c̄] + b[c̄, ȳ] of the kept one with its
 operands swapped, float addition commutes, and the min runs over the same
 values.  The test for it is also exact and takes the three products on
-any mismatch.  A closed zone met with a box (an assertion's input
-restriction) is closed by ``_box_meet_close``: every edge of a box
-factors through slot 0, so one column and one row product through slot 0
-close the meet.  ``dbm_close`` closes everything else; ``oct_close``, the
+any mismatch.  The dense meet's product b[Y, C] ⊗ E[C, Y] is taken only
+where a bound leaves it open (``_min_with_product``): no term rounds
+below min_c b[y, c] + min_c E[c, y'], so where b[y, y'] lies strictly
+below that sum the min is b[y, y'], and the other entries' products are
+taken alone, each reduced as in the whole product.  A closed zone met
+with a box (an assertion's input restriction) is closed by
+``_box_meet_close``: every edge of a box factors through slot 0, so one
+column and one row product through slot 0 close the meet.  ``dbm_close`` closes everything else; ``oct_close``, the
 strong closure of any octagon matrix, is the tests' reference, since the
 octagon chain builds its matrices strongly closed and runs no closure pass.
 
@@ -332,6 +336,15 @@ def _ulp_of_largest(*parts: np.ndarray) -> np.ndarray:
     return np.spacing(np.maximum.reduce([f.max(axis=1, initial=0.0) for f in finite]))
 
 
+def _upper_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y for two upper bounds (broadcast): a sum that overflows bounds
+    nothing, so it is +inf, never -inf, which would read as a cycle below 0."""
+    with np.errstate(over="ignore"):
+        s = np.add(x, y)
+    s[s == -INF] = INF
+    return s
+
+
 def dbm_close(d: Dbm, eps: float = DEFAULT_EPS) -> MaybeDbm:
     """Shortest-path closure; EMPTY iff a cycle weighs less than -eps."""
     check_eps(eps)
@@ -501,7 +514,7 @@ def _strengthen(m: np.ndarray, n: int, eps: float):
     empty, or rounding made it look so, and its entries mean nothing."""
     perm = _mirror(n)
     unary = m[..., np.arange(2 * n), perm]  # m[p, p̄], twice the bound of slot p
-    np.minimum(m, (unary[..., :, None] + unary[..., None, perm]) / 2.0, out=m)
+    np.minimum(m, _upper_sum(unary[..., :, None], unary[..., None, perm]) / 2.0, out=m)
     m = _coherence_min(m, n)
     low = (_diagonal(m) < -eps).any(axis=-1)
     # bounds of a flat direction (a point box, a dead unit) can cross by
@@ -511,6 +524,10 @@ def _strengthen(m: np.ndarray, n: int, eps: float):
     np.maximum(m, -m.swapaxes(-2, -1), out=m)
     _fill_diagonal(m, 0.0)
     return m, low
+
+
+# floats in each of ``_min_plus``'s two block buffers: 256 KiB, so both stay in cache
+_MIN_PLUS_FLOATS = 1 << 15
 
 
 def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -546,9 +563,8 @@ def _min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return out.reshape(batch + (r, j))
     pk = p.reshape((n, r, k, 1)).transpose(2, 0, 1, 3)  # (k, n, r, 1)
     qk = q.reshape((n, k, 1, j)).transpose(1, 0, 2, 3)  # (k, n, 1, j)
-    budget = 1 << 15
-    rows = min(r, max(1, budget // (k * j)))
-    cells = min(n, max(1, budget // (k * r * j))) if rows == r else 1
+    rows = min(r, max(1, _MIN_PLUS_FLOATS // (k * j)))
+    cells = min(n, max(1, _MIN_PLUS_FLOATS // (k * r * j))) if rows == r else 1
     tiles = np.empty((k, cells, rows, j))
     sums = np.empty((k, cells, rows, j))
     if cells == n and rows == r:
@@ -590,7 +606,9 @@ def _interface_close(
     A path of the meet alternates between a-edges and b-edges, and
     consecutive edges on one closed side collapse into one.  A detour
     through Y between two C slots is a b-path, never shorter than a's edge,
-    so a shortest path needs at most one C hop on each side of Y.
+    so a shortest path needs at most one C hop on each side of Y.  The
+    last product is taken only on the entries of b[Y, Y] that its bound
+    min_c b[y, c] + min_c E[c, y'] leaves open (``_min_with_product``).
 
     If slot 0 is in C and a factors through it, a[i, j] == a[i, 0] + a[0, j]
     bit for bit on every off-diagonal entry (a box, as ``Box.to_dbm``
@@ -690,7 +708,10 @@ def _dense_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``_interface_close`` before its diagonal check, by three dense
     min-plus products through C, or two when the operands are coherent
     (``_coherent_meet``): E[Y, X∪C] is then E[X∪C, Y] mirrored,
-    E[y, x] = E[x̄, ȳ], the same floats as its own product."""
+    E[y, x] = E[x̄, ȳ], the same floats as its own product.  The Y x Y
+    product is taken only where the bound min_c b[y, c] + min_c E[c, y']
+    does not already lie above b[y, y'] (``_min_with_product``), still one
+    ``_min_plus`` call."""
     p, k = a.shape[-1], len(c)
     e = _meet_block(a, c, b)
     e[..., :p, p:] = _min_plus(e[..., :p, c], b[..., :k, k:])
@@ -698,8 +719,39 @@ def _dense_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
         e[..., p:, :p] = _mirrored(e[..., :p, p:]).reshape(e[..., p:, :p].shape)
     else:
         e[..., p:, :p] = _min_plus(b[..., k:, :k], e[..., c, :p])
-    e[..., p:, p:] = np.minimum(b[..., k:, k:], _min_plus(b[..., k:, :k], e[..., c, p:]))
+    e[..., p:, p:] = _min_with_product(b[..., k:, k:], b[..., k:, :k], e[..., c, p:])
     return e
+
+
+def _min_with_product(d: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.minimum(d, _min_plus(u, v)) bit for bit, for d of shape (..., r, j),
+    the product taken only on the entries that a bound leaves open.
+
+    Every term u[i, c] + v[c, j] rounds to at least lb[i, j] = min_c u[i, c]
+    + min_c v[c, j], since rounding to nearest is monotone, so where
+    d[i, j] < lb[i, j] the min is d[i, j] and the product is not taken.
+    The test is strict: a tie of +0.0 and -0.0, where np.minimum returns
+    its second operand, goes through the product, and so does a NaN.  The
+    open entries' one-entry products, u's row against v's column, go
+    through one ``_min_plus`` call as a stack, each reduced over k in
+    order, as in the whole product.  A block of that stack holding one
+    entry would take numpy's unrolled reduction instead, which can give a
+    zero tie another sign, so such a block gets its entry twice.  (The
+    whole product takes that reduction only on 1 x 1 matrices, alone or
+    last in a stack of more than 2^15 / k; in the meet such an entry is a
+    diagonal, which is then set to 0.)"""
+    with np.errstate(over="ignore"):  # an overflowed bound is +-inf, which prunes nothing wrongly
+        lb = u.min(axis=-1, initial=INF)[..., :, None] + v.min(axis=-2, initial=INF)[..., None, :]
+    open_ = np.nonzero(~(d < lb))
+    count, per_block = len(open_[-1]), max(1, _MIN_PLUS_FLOATS // max(u.shape[-1], 1))
+    take = open_
+    if d.size > 1 and (count == 1 or (count > per_block and count % per_block == 1)):
+        take = tuple(np.append(i, i[-1]) for i in open_)
+    *lead, rows, cols = take
+    prod = _min_plus(u[(*lead, rows)][:, None, :], v.swapaxes(-2, -1)[(*lead, cols)][:, :, None])
+    out = d.copy()
+    out[open_] = np.minimum(d[open_], prod[:count, 0, 0])
+    return out
 
 
 def _coherent_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> bool:
@@ -767,9 +819,9 @@ def _factored_meet(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     b_cy, b_yc = b[..., :k, k:], b[..., k:, :k]
     row = _min_plus(a[..., :1, c], b_cy)
     col = _min_plus(b_yc, a[..., c, :1])
-    e[..., :p, p:] = a[..., :, :1] + row
-    e[..., p:, :p] = col + a[..., :1, :]
+    e[..., :p, p:] = _upper_sum(a[..., :, :1], row)
+    e[..., p:, :p] = _upper_sum(col, a[..., :1, :])
     e[..., c, p:] = np.minimum(e[..., c, p:], b_cy)
     e[..., p:, c] = np.minimum(e[..., p:, c], b_yc)
-    e[..., p:, p:] = np.minimum(b[..., k:, k:], col + row)
+    e[..., p:, p:] = np.minimum(b[..., k:, k:], _upper_sum(col, row))
     return e

@@ -163,8 +163,13 @@ def _constants(layer: AffineLayer, sums: bool):
         return zone
     d = _mv(w, hi) + b
     sum_slack = np.where(w >= 0, 0.0, np.where(w >= -1, -w * cw, cw))
-    sum_hi = c[..., :, None] + c[..., None, :] + s
-    sum_lo = d[..., :, None] + d[..., None, :] - s
+    with np.errstate(over="ignore"):
+        sum_hi = c[..., :, None] + c[..., None, :] + s
+        sum_lo = d[..., :, None] + d[..., None, :] - s
+    # a sum bound that overflows bounds nothing: +inf above and -inf below,
+    # never the other way round, so its negated entry is +inf, not -inf
+    sum_hi[sum_hi == -np.inf] = np.inf
+    sum_lo[sum_lo == np.inf] = -np.inf
     return OctAbsConstants(zone, sum_hi, sum_lo, sum_slack)
 
 

@@ -21,7 +21,8 @@ carried matrix and the closed pre-activation zone over (carried, h),
    row and one column product instead.  In the octagon domain both
    operands are coherent, so the meet's rows of h are the mirror of its
    columns of h, the same floats, and it takes two dense products, not
-   three;
+   three.  The product of h against h is taken only on the entries that
+   a bound leaves open (``dbm._min_with_product``);
 3. writes the image of y = max(0, h) on the tracked slots and y only
    (``_relu_append``), each entry a max or min of closed entries.
 
@@ -87,10 +88,11 @@ from .dbm import (
     Dbm,
     OctDbm,
     _coherence_min,
+    _diagonal,
     _fill_diagonal,
+    _halves,
     _interface_close,
     _meet,
-    _mirror,
     _strengthen,
     _widen_and_redo,
     dbm_box,
@@ -285,44 +287,47 @@ def _oct_relu_append(o: OctDbm, h_vars: list, keep: Optional[list] = None):
     half-sum inequality holds, also on the kept slots.  The build is exact
     in floats (min, max, halves, doubles): a closure pass would move only
     the input's rounding.
+
+    Layout: one row take and one column take gather the input's entries
+    between the image's slots, in its order (+kept, +h, -kept, -h), so the
+    kept x kept blocks are final and each h row and column sits where its
+    copy's goes.  Seen as halves (sign of row, row, sign of column,
+    column), the copies are then filled by slices, in place: each copy's
+    row against every slot (a max with the column's mirror bound for +g,
+    a min for -g), the kept rows' copy columns (a min with the row's own
+    bound for +g, a max for -g), and the copy pairs against the copies'
+    own bounds; no 2-d fancy gather or scatter.
     """
     n = o.dim
     r = len(h_vars)
     keep = np.arange(n) if keep is None else np.asarray(keep, dtype=int)
     k = len(keep)
     size = k + r
-    old = o.entries
-    mir = _mirror(n)
-    ub = old[..., np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
     hp = np.asarray(h_vars, dtype=int)
-    hm = hp + n
-    ks = np.concatenate([keep, keep + n])
-    # each copy's rows against the kept slots, then +h and -h of every copy
-    cols = np.concatenate([ks, hp, hm])
-    col_sup = ub[..., None, mir[cols]]
-    row_p = np.maximum(col_sup, old[..., hp[:, None], cols])  # rows +g
-    row_m = np.minimum(col_sup, old[..., hm[:, None], cols])  # rows -g
-    kpos = np.concatenate([np.arange(k), np.arange(size, size + k)])
-    gp = np.arange(k, size)
-    gm = gp + size
-    e = np.empty(old.shape[:-2] + (2 * size, 2 * size))
-    e[..., kpos[:, None], kpos] = old[..., ks[:, None], ks]
-    e[..., gp[:, None], kpos] = row_p[..., : 2 * k]
-    e[..., gm[:, None], kpos] = row_m[..., : 2 * k]
-    e[..., kpos[:, None], gp] = np.minimum(ub[..., ks, None], old[..., ks[:, None], hp])
-    e[..., kpos[:, None], gm] = np.maximum(ub[..., ks, None], old[..., ks[:, None], hm])
+    sel = np.concatenate([keep, hp, keep + n, hp + n])
+    e = o.entries.take(sel, axis=-2).take(sel, axis=-1)
+    half = _halves(e)  # [..., sign of row, row, sign of column, column]
+    # ub[s, i] = sup of slot (s, i) in the input; col_sup[s] = ub of the mirror
+    ub = np.stack([_diagonal(half[..., 0, :, 1, :]), _diagonal(half[..., 1, :, 0, :])], axis=-2) / 2.0
+    col_sup = ub[..., None, ::-1, :]
+    # each copy's row against every slot: rows +g a max, rows -g a min
+    np.maximum(col_sup, half[..., 0, k:, :, :], out=half[..., 0, k:, :, :])
+    np.minimum(col_sup, half[..., 1, k:, :, :], out=half[..., 1, k:, :, :])
+    # the kept slots' columns of the copies: columns +g a min, columns -g a max
+    kept_ub = ub[..., :k, None]
+    np.minimum(kept_ub, half[..., :, :k, 0, k:], out=half[..., :, :k, 0, k:])
+    np.maximum(kept_ub, half[..., :, :k, 1, k:], out=half[..., :, :k, 1, k:])
     # pairs of copies (rows +g_i then -g_i, columns j != i) through the
     # (g_i, h_j) transfers; the i = j entries are the copies' own bounds.
     # np.maximum(h, 0.0) keeps 0.0 on ties as max(0.0, h) does (signed zeros)
-    g_hi = 2.0 * np.maximum(ub[..., hp], 0.0)
-    g_lo = -2.0 * np.maximum(-ub[..., hm], 0.0)
-    row_sup = (np.concatenate([g_hi, g_lo], axis=-1) / 2.0)[..., :, None]
-    to_h = np.concatenate([row_p[..., 2 * k :], row_m[..., 2 * k :]], axis=-2)
-    rows = np.concatenate([gp, gm])
-    e[..., rows[:, None], gp] = np.minimum(to_h[..., :r], row_sup)
-    e[..., rows[:, None], gm] = np.maximum(to_h[..., r:], row_sup)
-    e[..., gp, gm] = g_hi
-    e[..., gm, gp] = g_lo
+    g_hi = 2.0 * np.maximum(ub[..., 0, k:], 0.0)
+    g_lo = -2.0 * np.maximum(-ub[..., 1, k:], 0.0)
+    row_sup = (np.stack([g_hi, g_lo], axis=-2) / 2.0)[..., :, :, None]
+    np.minimum(half[..., :, k:, 0, k:], row_sup, out=half[..., :, k:, 0, k:])
+    np.maximum(half[..., :, k:, 1, k:], row_sup, out=half[..., :, k:, 1, k:])
+    i = np.arange(k, size)
+    half[..., 0, i, 1, i] = g_hi
+    half[..., 1, i, 0, i] = g_lo
     _fill_diagonal(e, 0.0)
     return OctDbm(_coherence_min(e, size), closed=True)
 

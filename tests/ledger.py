@@ -9,14 +9,18 @@ A run is one net, one setting and one grid.  The runs are the 40
 input box and on a 2x2 grid over the first two inputs, each objective
 checked unrestricted and restricted to the lower half of every input; then
 the first 60 ``test_large_magnitudes.point_nets`` at 1e3, 1e7 and 1e12 x
-the 12 settings, each on its point box.  A run's digest covers every array
-it returns, bytes, shape and sign of zero included: the stage bounds, the
-zone, the cell stack, the hull points, each layer record's boxes, sizes
-and pre-activation zone, the external system, and each check's minimum,
-status and method; or the name of the error where the run raises.  The
-JSON file also keeps one digest per array, and an .npz file beside it
-every array's values, so ``--compare`` names the first array of a run
-that differs and its largest difference.
+the 12 settings, each on its point box; then 4 seeded 8->32x6->2 nets
+(``deep_nets``, as wide as the ``deep`` benchmark's layers, where the meet
+prunes its products) in the zone and the octagon domain, on the whole box
+and on the 2x2 grid, with their objectives checked as the battery's are:
+3136 runs.  A run's digest covers every array it returns, bytes, shape
+and sign of zero included: the stage bounds, the zone, the cell stack, the
+hull points, each layer record's boxes, sizes and pre-activation zone, the
+external system, and each check's minimum, status and method; or the
+name of the error where the run raises.  The JSON file also keeps one
+digest per array, and an .npz file beside it every array's values, so
+``--compare`` names the first array of a run that differs and its largest
+difference.
 
 ``--rev REV`` unpacks ``git archive REV`` into a temporary directory and
 runs the ledger twice in subprocesses, with ``PYTHONPATH`` at this
@@ -49,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import troprelu
-from troprelu import AnalysisOptions, LinearAssertion, SubdivisionGrid, analyze, check
+from troprelu import AbsDomain, AnalysisOptions, LinearAssertion, Network, SubdivisionGrid, analyze, check
 from troprelu.dbm import Box
 from troprelu.errors import TropReluError
 
@@ -59,6 +63,21 @@ from test_layer_chain import battery, settings
 ROOT = Path(__file__).resolve().parent.parent
 POINT_SCALES = (1e3, 1e7, 1e12)
 POINT_NETS = 60
+DEEP_SIZES = (8, 32, 32, 32, 32, 32, 32, 2)
+DEEP_SEED = 32
+
+
+def deep_nets(count: int = 4):
+    """Seeded 8->32x6->2 nets (the ``deep`` benchmark's shape and weights:
+    He-uniform, biases in [-0.5, 0.5]) on [-1, 1]^8, each with two
+    objectives over its inputs and outputs."""
+    rng = np.random.default_rng(DEEP_SEED)
+    sizes = DEEP_SIZES
+    for _ in range(count):
+        weights = tuple(rng.uniform(-1, 1, (b, a)) * np.sqrt(6.0 / a) for a, b in zip(sizes, sizes[1:]))
+        biases = tuple(rng.uniform(-0.5, 0.5, b) for b in sizes[1:])
+        objectives = [LinearAssertion(rng.standard_normal(sizes[0]), rng.standard_normal(sizes[-1])) for _ in range(2)]
+        yield Network(weights, biases), Box(-np.ones(sizes[0]), np.ones(sizes[0])), objectives
 
 
 def result_arrays(res) -> list:
@@ -137,6 +156,11 @@ def runs():
         for n, (net, x) in enumerate(point_nets(scale, count=POINT_NETS)):
             for name, opts in settings():
                 yield f"point[{scale:g}][{n}] {name}", net, Box(x, x), [], opts
+    for n, (net, box, objectives) in enumerate(deep_nets()):
+        grid = SubdivisionGrid.uniform(box, [2, 2] + [1] * (box.dim - 2))
+        for domain in AbsDomain:
+            yield f"deep[{n}] {domain.value} box", net, box, objectives, AnalysisOptions(domain=domain)
+            yield f"deep[{n}] {domain.value} grid2x2", net, box, objectives, AnalysisOptions(domain=domain, subdiv=grid)
 
 
 def ledger(runs) -> tuple:

@@ -29,6 +29,14 @@ is on the analysis path, so they live beside the tests.
 * ``reference_min_plus``: the min-plus product as one broadcast sum per
   block of rows, reduced over its middle axis.  ``dbm._min_plus`` computes
   the same floats in cache-sized blocks with the inner index outermost.
+* ``reference_min_with_product``: the dense meet's h x h block as
+  np.minimum(d, u ⊗ v), the whole product taken.  ``dbm._min_with_product``
+  takes only the entries that a rank-one bound leaves open, and must match
+  it bit for bit.
+* ``reference_oct_relu_append``: the octagon ReLU image written by nine
+  2-d fancy gathers and scatters.  ``network._oct_relu_append`` takes the
+  slots it reads with one row take and one column take and fills the image
+  by slices, and must match it bit for bit.
 * ``reference_zone2d_corners``: a 2-d zone's vertices from eight clamped
   candidates, filtered with absolute 1e-9 tests, which hold only at
   ordinary magnitudes.  ``cli._zone2d_corners`` takes the zone's max-plus
@@ -42,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from troprelu.dbm import INF, Dbm, OctDbm, _fill_diagonal
+from troprelu.dbm import INF, Dbm, OctDbm, _coherence_min, _fill_diagonal, _min_plus, _mirror
 from troprelu.errors import BadIndex, DimensionMismatch, EmptyGenerators, EmptyInput
 from troprelu.layers import AffineLayer, OctAbsConstants, ZoneAbsConstants, _oct_entries
 from troprelu.maxplus import BOTTOM, DEFAULT_EPS
@@ -238,6 +246,57 @@ def reference_min_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             block = p3[c0 : c0 + cells, r0 : r0 + rows, :, None] + q3[c0 : c0 + cells, None]
             out[c0 : c0 + cells, r0 : r0 + rows] = block.min(axis=2, initial=INF)
     return out.reshape(batch + (r, j))
+
+
+def reference_min_with_product(d: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min(d, u ⊗ v) with the whole min-plus product taken."""
+    return np.minimum(d, _min_plus(u, v))
+
+
+def reference_oct_relu_append(o: OctDbm, h_vars: list, keep=None) -> OctDbm:
+    """``network._oct_relu_append`` by fancy gathers and scatters: the copies
+    g_i = max(0, h_i) of the ``h_vars`` appended to the strongly closed
+    octagon ``o`` (or a stack), keeping the variables ``keep`` (default
+    all)."""
+    n = o.dim
+    r = len(h_vars)
+    keep = np.arange(n) if keep is None else np.asarray(keep, dtype=int)
+    k = len(keep)
+    size = k + r
+    old = o.entries
+    mir = _mirror(n)
+    ub = old[..., np.arange(2 * n), mir] / 2.0  # ub[q] = sup(s_q) in the input
+    hp = np.asarray(h_vars, dtype=int)
+    hm = hp + n
+    ks = np.concatenate([keep, keep + n])
+    # each copy's rows against the kept slots, then +h and -h of every copy
+    cols = np.concatenate([ks, hp, hm])
+    col_sup = ub[..., None, mir[cols]]
+    row_p = np.maximum(col_sup, old[..., hp[:, None], cols])  # rows +g
+    row_m = np.minimum(col_sup, old[..., hm[:, None], cols])  # rows -g
+    kpos = np.concatenate([np.arange(k), np.arange(size, size + k)])
+    gp = np.arange(k, size)
+    gm = gp + size
+    e = np.empty(old.shape[:-2] + (2 * size, 2 * size))
+    e[..., kpos[:, None], kpos] = old[..., ks[:, None], ks]
+    e[..., gp[:, None], kpos] = row_p[..., : 2 * k]
+    e[..., gm[:, None], kpos] = row_m[..., : 2 * k]
+    e[..., kpos[:, None], gp] = np.minimum(ub[..., ks, None], old[..., ks[:, None], hp])
+    e[..., kpos[:, None], gm] = np.maximum(ub[..., ks, None], old[..., ks[:, None], hm])
+    # pairs of copies (rows +g_i then -g_i, columns j != i) through the
+    # (g_i, h_j) transfers; the i = j entries are the copies' own bounds.
+    # np.maximum(h, 0.0) keeps 0.0 on ties as max(0.0, h) does (signed zeros)
+    g_hi = 2.0 * np.maximum(ub[..., hp], 0.0)
+    g_lo = -2.0 * np.maximum(-ub[..., hm], 0.0)
+    row_sup = (np.concatenate([g_hi, g_lo], axis=-1) / 2.0)[..., :, None]
+    to_h = np.concatenate([row_p[..., 2 * k :], row_m[..., 2 * k :]], axis=-2)
+    rows = np.concatenate([gp, gm])
+    e[..., rows[:, None], gp] = np.minimum(to_h[..., :r], row_sup)
+    e[..., rows[:, None], gm] = np.maximum(to_h[..., r:], row_sup)
+    e[..., gp, gm] = g_hi
+    e[..., gm, gp] = g_lo
+    _fill_diagonal(e, 0.0)
+    return OctDbm(_coherence_min(e, size), closed=True)
 
 
 def reference_zone2d_corners(e: np.ndarray):
