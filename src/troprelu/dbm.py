@@ -297,7 +297,8 @@ def _box_meet_close(z: np.ndarray, slots: Sequence[int], lo: np.ndarray, hi: np.
         from0 = np.concatenate([zero, neg_lo], axis=-1)  # r[0, k]
         col = (z[..., :, idx] + to0[..., None, :]).min(axis=-1)
         row = (from0[..., :, None] + z[..., idx, :]).min(axis=-2)
-        m = np.minimum(z, col[..., :, None] + row[..., None, :])
+        m = col[..., :, None] + row[..., None, :]
+        np.minimum(z, m, out=m)
         return m, (_diagonal(m) < 0.0).any(axis=-1)
 
     m, low = _widen_and_redo(close, (z, np.asarray(hi), np.negative(lo)), (0, 1, 2))

@@ -158,7 +158,10 @@ def _constants(layer: AffineLayer, sums: bool):
     slack = np.where(w <= 0, 0.0, np.where(w <= 1, w * cw, cw))
     c = _mv(w, lo) + b
     r, s = _pair_widths(w, width, sums)
-    zone = ZoneAbsConstants(out_lo, out_hi, c[..., :, None] - c[..., None, :] + r, slack)
+    with np.errstate(over="ignore"):
+        diff = c[..., :, None] - c[..., None, :] + r
+    diff[diff == -np.inf] = np.inf  # an upper bound that overflows bounds nothing
+    zone = ZoneAbsConstants(out_lo, out_hi, diff, slack)
     if not sums:
         return zone
     d = _mv(w, hi) + b

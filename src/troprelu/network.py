@@ -109,6 +109,7 @@ from .layers import (
     zone_dbm,
     zone_external,
 )
+from .simplex import _factoring
 from .subdivision import SubdivisionGrid, check_cell_budget
 from .tropical import TropExternal, TropInternal, _zone_points, extreme_filter
 
@@ -354,7 +355,10 @@ class AnalysisResult:
 
     ``internal`` (the generators over the tracked dimensions) is filtered
     on first access from the points kept in ``_hull`` and then kept;
-    nothing in ``analyze`` or ``speccheck.check`` reads it.
+    nothing in ``analyze`` or ``speccheck.check`` reads it.  ``_lp_plan``
+    (the input and output slots, and per cell which of them factor through
+    slot 0) is built on the first ``speccheck.check`` and then kept, so
+    later checks test no zone for the LP's closed-form slots.
     """
 
     var_map: list  # (stage, neuron) per tracked dimension
@@ -390,6 +394,23 @@ class AnalysisResult:
             return []
         lo, hi, zones = self._cell_stack
         return [(Box(l, h), Dbm(z, closed=True)) for l, h, z in zip(lo, hi, zones)]
+
+    @cached_property
+    def _lp_plan(self) -> tuple:
+        """The zone LP's plan for ``speccheck.check``, built on first use:
+        the input and output slots (index arrays into ``var_map``) and a
+        mask (cells, zone slots), one cell without a grid, that marks each
+        input or output slot whose whole row and column factor through
+        slot 0 in that cell's zone (``simplex._factoring``).  Hidden slots
+        are never tested, so the mask holds cells x slots booleans and its
+        test never a cells x slots^2 temporary."""
+        ins = np.asarray(self.input_slots, dtype=int)
+        outs = np.asarray(self.output_slots, dtype=int)
+        zones = self.zone.entries[None] if self._cell_stack is None else self._cell_stack[2]
+        io = np.concatenate([ins, outs]) + 1
+        factors = np.zeros(zones.shape[:2], dtype=bool)
+        factors[:, io] = _factoring(zones, io)
+        return ins, outs, factors
 
     @property
     def input_slots(self) -> list:
@@ -616,13 +637,16 @@ def _oct_from_box(box: Box) -> OctDbm:
     is.  Each entry rounds once, so a closure pass could only move
     rounding; on boxes that mix magnitudes that rounding made the pass cut
     true points or return EMPTY.  A zero sum is written +0.0, as in
-    ``layers._oct_entries``."""
+    ``layers._oct_entries``.  An entry whose sum leaves the float range
+    bounds nothing, so it is +inf, never -inf (``dbm._upper_sum``)."""
     n = box.dim
     e = np.empty(box.lo.shape[:-1] + (2 * n, 2 * n))
-    e[..., :n, :n] = box.hi[..., :, None] - box.lo[..., None, :]
+    with np.errstate(over="ignore"):
+        e[..., :n, :n] = box.hi[..., :, None] - box.lo[..., None, :]
+        e[..., :n, n:] = box.hi[..., :, None] + box.hi[..., None, :]
+        e[..., n:, :n] = 0.0 - (box.lo[..., :, None] + box.lo[..., None, :])
     e[..., n:, n:] = e[..., :n, :n].swapaxes(-2, -1)
-    e[..., :n, n:] = box.hi[..., :, None] + box.hi[..., None, :]
-    e[..., n:, :n] = 0.0 - (box.lo[..., :, None] + box.lo[..., None, :])
+    e[e == -np.inf] = np.inf
     _fill_diagonal(e, 0.0)
     return OctDbm(e, closed=True)
 

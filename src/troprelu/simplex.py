@@ -32,7 +32,11 @@ of the whole problem, routed through slot 0, so the value rests on weak
 duality as before, whatever the rounding; in exact arithmetic it is the
 optimum, since a factoring slot's constraints against the others follow
 from the intervals.  The split runs only where the transport would (two
-or more sources and two or more sinks).
+or more sources and two or more sinks).  Which slots factor depends on
+the matrix alone: an unrestricted check passes the mask of its result's
+LP plan (``AnalysisResult._lp_plan``, ``_factoring`` of the input and
+output slots, built on the first check), and ``_split`` indexes it by the
+objective's support; a met zone, a new matrix, is tested on its support.
 
 The set-up of every problem of a stack (``minimize_over_dbms``), its sink
 potentials and each sink's sources ranked by cost, comes out of one numpy
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 
@@ -60,7 +65,7 @@ def minimize_over_dbm(objective: np.ndarray, entries: np.ndarray) -> float:
     return minimize_over_dbms(objective, np.asarray(entries)[None])[0]
 
 
-def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
+def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray, factors: Optional[np.ndarray] = None) -> list:
     """``minimize_over_dbm`` of one objective over each closed DBM of the
     stack ``entries`` (C, s, s), in order.
 
@@ -71,7 +76,8 @@ def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
     over one gather of the cost rows.  Otherwise the slots of the support
     that factor through slot 0 in a matrix are settled in closed form
     there (``_split``), and the forced sum or ``_transport`` runs on the
-    rest.
+    rest.  ``factors`` (C, s), when given, is ``_factoring`` of the stack
+    on (at least) the objective's support, read instead of testing again.
     """
     a = [float(v) for v in objective]
     try:
@@ -83,61 +89,69 @@ def minimize_over_dbms(objective: np.ndarray, entries: np.ndarray) -> list:
         return [0.0] * len(entries)
     if n_src == 1 or sum(b < 0 for b in supply) == 1:
         return _flow_minima(supply, entries, [[]] * len(entries))
-    return _split(a, supply, entries)
+    return _split(a, supply, entries, factors)
 
 
-def _split(a: list, supply: list, entries: np.ndarray) -> list:
+def _factoring(entries: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(C, len(slots)): whether each of the 1-based ``slots`` has its whole
+    row and column factor through slot 0, over every slot of each matrix
+    of the stack ``entries`` (``dbm._slot0_factors``)."""
+    rows = _slot0_factors(entries, slots).all(axis=-1)
+    return rows & _slot0_factors(entries.swapaxes(-2, -1), slots).all(axis=-1)
+
+
+def _split(a: list, supply: list, entries: np.ndarray, factors: Optional[np.ndarray] = None) -> list:
     """The minima of ``minimize_over_dbms`` with two or more sources and
     sinks, the support slots that factor through slot 0 in a matrix
     settled in closed form (see the module docstring).
 
     A slot factors when its whole row and column do, over every slot of
-    the matrix; only the support's rows and columns are tested.  Its term
-    is a Python float product, inf where it overflows.  Slot 0 of the core
-    supplies the fsum of the core's coefficients; where that sum overflows
-    the minimum is -inf.  The matrices of a stack go through in groups
-    that settle the same slots, so each keeps the floats it gets alone,
-    and a matrix that settles none gets the unsplit problem's.
+    the matrix (``_factoring``, tested on the support's rows and columns
+    unless ``factors`` holds it already).  Its term is a Python float
+    product, inf where it overflows.  Slot 0 of the core supplies the fsum
+    of the core's coefficients; where that sum overflows the minimum is
+    -inf.  The matrices of a stack go through in groups that settle the
+    same slots, so each keeps the floats it gets alone, and a matrix that
+    settles none gets the unsplit problem's.
     """
     support = [v for v, b in enumerate(supply) if v and b]
     v = np.asarray(support)
-    rows = _slot0_factors(entries, v).all(axis=-1)
-    factors = (rows & _slot0_factors(entries.swapaxes(-2, -1), v).all(axis=-1)).tolist()
+    settles = (_factoring(entries, v) if factors is None else factors[:, v]).tolist()
     groups = {}
-    for i, row in enumerate(factors):
-        groups.setdefault(tuple(v for v, f in zip(support, row) if f), []).append(i)
-    neg_lo, hi = entries[:, 0].tolist(), entries[:, :, 0].tolist()  # m[0, v] and m[v, 0]
+    for i, row in enumerate(settles):
+        groups.setdefault(tuple(k for k, f in enumerate(row) if f), []).append(i)
+    neg_lo, hi = entries[:, 0, v].tolist(), entries[:, v, 0].tolist()  # m[0, v] and m[v, 0] on the support
+    coef = [a[u - 1] for u in support]
     out = [0.0] * len(entries)
     for gone, members in groups.items():
         core = supply.copy()
-        for v in gone:
-            core[v] = 0.0
+        for k in gone:
+            core[support[k]] = 0.0
         try:
             core[0] = math.fsum(-b for b in core[1:])
         except OverflowError:
             values = [-INF] * len(members)
         else:
-            settled = [
-                [a[v - 1] * neg_lo[i][v] if a[v - 1] > 0 else -a[v - 1] * hi[i][v] for v in gone] for i in members
-            ]
-            values = _flow_minima(core, entries if len(groups) == 1 else entries[members], settled)
+            settled = [[coef[k] * neg_lo[i][k] if coef[k] > 0 else -coef[k] * hi[i][k] for k in gone] for i in members]
+            values = _flow_minima(core, entries, settled, None if len(groups) == 1 else members)
         for i, v in zip(members, values):
             out[i] = v
     return out
 
 
-def _flow_minima(supply: list, entries: np.ndarray, settled: list) -> list:
+def _flow_minima(supply: list, entries: np.ndarray, settled: list, members: Optional[list] = None) -> list:
     """-(cost of the flow that ships ``supply``, one per slot of the stack
-    ``entries`` (C, s, s), plus the matrix's ``settled`` terms) per matrix:
-    the forced sum on one source or one sink, ``_transport`` otherwise.
-    The cost rows of every matrix come out of one gather and one
-    ``tolist``, the set-up of every transportation problem out of one numpy
-    pass (``_setups``)."""
+    ``entries`` (C, s, s), plus the matrix's ``settled`` terms) per matrix
+    (or per matrix of ``members``, in order): the forced sum on one source
+    or one sink, ``_transport`` otherwise.  The cost rows of every matrix
+    come out of one gather and one ``tolist``, the set-up of every
+    transportation problem out of one numpy pass (``_setups``)."""
     src = [v for v, b in enumerate(supply) if b > 0]
     snk = [v for v, b in enumerate(supply) if b < 0]
     if not src:
         return [_neg_sum(terms) for terms in settled]
-    block = entries[:, np.asarray(src)[:, None], snk]
+    cells = slice(None) if members is None else np.asarray(members)[:, None, None]
+    block = entries[cells, np.asarray(src)[:, None], snk]
     costs = block.tolist()
     if len(src) == 1 or len(snk) == 1:
         # forced: a lone source meets every demand, a lone sink takes every supply

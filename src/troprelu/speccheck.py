@@ -20,8 +20,14 @@ as the analysis closed them: the LP value is -(the cost of a flow), a
 lower bound by weak duality over any DBM of the zone, so re-closing a
 cell through its own box adds nothing to soundness.  The LPs of all
 cells share one set-up (``simplex.minimize_over_dbms``) and only the
-transportation solver runs cell by cell.  Refining the grid only shrinks
-per-cell zones, so a Verified verdict never flips back to Unknown.
+transportation solver runs cell by cell.  The input and output slots, and
+per cell which of them factor through slot 0 (the LP settles those in
+closed form), come from the result's LP plan (``AnalysisResult._lp_plan``),
+built on the first check, so an unrestricted check tests no zone; a
+restricted one meets its cells in chunks of at most
+``network._CELL_FLOATS`` floats, and the LP tests each met zone.
+Refining the grid only shrinks per-cell zones, so a Verified verdict
+never flips back to Unknown.
 ``min_over_zone`` takes the same route for one zone; only a zone not
 marked closed, which the analysis never makes, is first closed alone.
 """
@@ -35,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import network
 from .dbm import Box, Dbm, EMPTY, _box_meet_close, dbm_close
 from .errors import DimensionMismatch, EmptyFeasibleSet, InvalidInterval, InvalidObjective, VariableMismatch
 from .maxplus import DEFAULT_EPS, check_eps
@@ -150,16 +157,23 @@ def min_over_zone(
     return minima[0]
 
 
-def _stack_minima(zones: np.ndarray, meet: Optional[tuple], obj: np.ndarray, const: float, eps: float) -> list:
+def _stack_minima(
+    zones: np.ndarray, meet: Optional[tuple], obj: np.ndarray, const: float, eps: float,
+    factors: Optional[np.ndarray] = None,
+) -> list:
     """min obj.v + const over each closed zone of the stack ``zones``
     (C, s, s), in order; -inf where the program is unbounded.  ``meet`` =
     (slots, lo, hi), corners (C, len(slots)), first meets each zone with
     its box on those 1-based slots (``_box_meet_close``); the zones it
-    empties give no minimum.  A zero objective's LP value is 0.0."""
+    empties give no minimum.  ``factors`` is the LP plan's mask of the
+    stack (``AnalysisResult._lp_plan``), for zones that meet no box; the
+    LP tests a met zone, a new matrix, itself.  A zero objective's LP
+    value is 0.0."""
     if meet is not None and len(zones):
         zones, empty = _box_meet_close(zones, *meet, eps)
-        zones = zones[~empty]
-    return [v + const for v in minimize_over_dbms(obj, zones)]
+        if empty.any():
+            zones = zones[~empty]
+    return [v + const for v in minimize_over_dbms(obj, zones, factors)]
 
 
 def _check_objective(objective: np.ndarray, dim: int, constant: float = 0.0) -> None:
@@ -170,8 +184,7 @@ def _check_objective(objective: np.ndarray, dim: int, constant: float = 0.0) -> 
 
 
 def _objective_of(a: LinearAssertion, result: AnalysisResult) -> np.ndarray:
-    ins = result.input_slots
-    outs = result.output_slots
+    ins, outs, _ = result._lp_plan
     if len(ins) != a.in_coeffs.shape[0] or len(outs) != a.out_coeffs.shape[0]:
         raise VariableMismatch(
             "assertion coefficients do not match tracked inputs/outputs"
@@ -212,16 +225,25 @@ def _cell_minima(a: LinearAssertion, result: AnalysisResult, obj: np.ndarray, ep
     own clipped to the restriction, only when the assertion restricts,
     and the cells disjoint from it are dropped.  Unrestricted, the cell
     zones go to the LP as the analysis closed them, as a lone box's zone
-    does: the LP value is a weak-duality bound over any DBM of the zone,
-    so a re-closure through the cell's box adds nothing to soundness."""
+    does, with the plan's mask (``AnalysisResult._lp_plan``): the LP value
+    is a weak-duality bound over any DBM of the zone, so a re-closure
+    through the cell's box adds nothing to soundness.  Restricted, the
+    cells that meet it are met, closed and solved in chunks of at most
+    ``network._CELL_FLOATS`` floats of zones, as the analysis runs them;
+    each cell's floats are its own, so chunking moves no bit."""
+    ins, _, factors = result._lp_plan
     box = result.bounds[0]
     lo, hi, zones = result._cell_stack or (box.lo[None], box.hi[None], result.zone.entries[None])
     if a.restrict is None:
-        return _stack_minima(zones, None, obj, a.const, eps)
+        return _stack_minima(zones, None, obj, a.const, eps, factors)
     lo, hi = _clip(lo, hi, a.restrict)
-    meets = (lo <= hi).all(axis=1)
-    slots = [s + 1 for s in result.input_slots]
-    return _stack_minima(zones[meets], (slots, lo[meets], hi[meets]), obj, a.const, eps)
+    cells = np.flatnonzero((lo <= hi).all(axis=1))
+    step = max(1, network._CELL_FLOATS // zones[0].size)
+    minima = []
+    for start in range(0, len(cells), step):
+        c = cells[start : start + step]
+        minima += _stack_minima(zones[c], (ins + 1, lo[c], hi[c]), obj, a.const, eps)
+    return minima
 
 
 def check_with_subdivision(
